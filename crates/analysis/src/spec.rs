@@ -122,7 +122,7 @@ pub enum PredictorSpec {
     Tage {
         /// log2 base-bimodal entries (tagged components get 2 fewer bits).
         base_bits: u32,
-        /// Number of tagged components (2..=12).
+        /// Number of tagged components (2..=[`Tage::MAX_COMPONENTS`]).
         ncomp: u32,
         /// Shortest geometric history length.
         min_len: u32,
@@ -135,7 +135,7 @@ pub enum PredictorSpec {
     TageScLite {
         /// log2 base-bimodal entries (tagged components get 2 fewer bits).
         base_bits: u32,
-        /// Number of tagged components (2..=12).
+        /// Number of tagged components (2..=[`Tage::MAX_COMPONENTS`]).
         ncomp: u32,
         /// Shortest geometric history length.
         min_len: u32,
@@ -170,7 +170,7 @@ fn check_tage(
     tag_bits: u32,
 ) -> Result<(u32, u32, u32, u32, u32), SpecError> {
     let ok = (3..=28).contains(&base_bits)
-        && (2..=12).contains(&ncomp)
+        && (2..=Tage::MAX_COMPONENTS).contains(&ncomp)
         && (4..=15).contains(&tag_bits)
         && min_len >= 1
         && min_len < max_len
@@ -892,6 +892,22 @@ mod tests {
             parse_predictor("tage-sc-lite:10:4:2:32:9").unwrap().describe(),
             "tage-sc-lite(10,4c,2..32,tag9)"
         );
+    }
+
+    /// The parser's component bound is `Tage::MAX_COMPONENTS`, the size of
+    /// the predictor's per-record hash arrays: the largest count parses
+    /// and builds, one more is a SpecError rather than a panic in a shard.
+    #[test]
+    fn tage_component_bound_is_the_predictor_bound() {
+        let max = Tage::MAX_COMPONENTS;
+        for head in ["tage", "tage-sc-lite"] {
+            let at_max = format!("{head}:10:{max}:2:64");
+            assert!(parse_predictor(&at_max).is_ok(), "{at_max}");
+            let over = format!("{head}:10:{}:2:64", max + 1);
+            assert_eq!(over, format!("{head}:10:13:2:64"));
+            let e = over.parse::<PredictorSpec>().unwrap_err();
+            assert_eq!(e.kind, "predictor");
+        }
     }
 
     /// Reject-path sweep for the TAGE grammar: every parameter bound the

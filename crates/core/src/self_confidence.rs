@@ -76,6 +76,15 @@ impl SelfConfidence {
         }
     }
 
+    /// Trains the shadow on the resolved direction, reconstructed from the
+    /// correctness bit: the shadow predicts exactly what the session
+    /// predictor predicted, so `correct` tells us whether that direction
+    /// was the actual outcome.
+    fn train_shadow(&mut self, pc: u64, bhr: u64, predicted: bool, correct: bool) {
+        let taken = if correct { predicted } else { !predicted };
+        self.shadow.update(pc, bhr, taken);
+    }
+
     /// The shadow predictor's description (for diagnostics).
     pub fn shadow_describe(&self) -> String {
         self.shadow.describe()
@@ -88,13 +97,22 @@ impl ConfidenceMechanism for SelfConfidence {
     }
 
     fn update(&mut self, pc: u64, bhr: u64, correct: bool) {
-        // Reconstruct the resolved direction from the correctness bit:
-        // the shadow predicts exactly what the session predictor
-        // predicted, so `correct` tells us whether that direction was
-        // the actual outcome.
         let predicted = self.shadow.predict(pc, bhr);
-        let taken = if correct { predicted } else { !predicted };
-        self.shadow.update(pc, bhr, taken);
+        self.train_shadow(pc, bhr, predicted, correct);
+    }
+
+    fn observe_batch(&mut self, pcs: &[u64], bhrs: &[u64], correct: &[bool], keys: &mut [u64]) {
+        assert!(
+            pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
+            "observe_batch slices must have equal lengths"
+        );
+        // One shadow read per record yields both the key and the
+        // direction `update` would otherwise predict a second time.
+        for i in 0..pcs.len() {
+            let p = self.shadow.predict_full(pcs[i], bhrs[i]);
+            keys[i] = u64::from(p.strength);
+            self.train_shadow(pcs[i], bhrs[i], p.taken, correct[i]);
+        }
     }
 
     fn key_space(&self) -> Option<u64> {
@@ -121,7 +139,8 @@ impl ConfidenceMechanism for SelfConfidence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cira_predictor::{Gshare, HistoryRegister, Tage};
+    use crate::ScalarObserve;
+    use cira_predictor::{Gshare, HistoryRegister, Tage, TageScLite};
 
     /// Drives a session predictor and the mechanism side by side the way
     /// the replay engine does — the mechanism only ever sees
@@ -144,6 +163,52 @@ mod tests {
             let correct = session.predict_train(pc, bhr.value(), taken) == taken;
             m.update(pc, bhr.value(), correct);
             bhr.push(taken);
+        }
+    }
+
+    /// The fused `observe_batch` must match the trait's per-record
+    /// `read_key` + `update` loop: same keys, same shadow state, across a
+    /// mid-stream flush, for both TAGE-class shadows.
+    #[test]
+    fn observe_batch_matches_per_record_default() {
+        let makes: [fn() -> ShadowFactory; 2] = [
+            || Box::new(|| Box::new(Tage::new(8, 4, 2, 24, 8))),
+            || Box::new(|| Box::new(TageScLite::new(8, 4, 2, 24, 8))),
+        ];
+        for make in makes {
+            let mut fused = SelfConfidence::new(make());
+            let mut scalar = ScalarObserve(SelfConfidence::new(make()));
+            let mut session = SelfConfidence::new(make()).shadow;
+            let (mut pcs, mut bhrs, mut correct) = (Vec::new(), Vec::new(), Vec::new());
+            let mut bhr = HistoryRegister::new(64);
+            let mut x = 21u64;
+            for i in 0..6_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = 0x40 + (x % 29) * 4;
+                let taken = if x & 4 == 0 { i % 9 != 8 } else { x >> 63 == 1 };
+                pcs.push(pc);
+                bhrs.push(bhr.value());
+                correct.push(session.predict_train(pc, bhr.value(), taken) == taken);
+                bhr.push(taken);
+            }
+            let name = fused.describe();
+            let (mut keys_f, mut keys_s) = (vec![0; pcs.len()], vec![0; pcs.len()]);
+            for (lo, hi) in [(0, 2_500), (2_500, pcs.len())] {
+                let (p, b, c) = (&pcs[lo..hi], &bhrs[lo..hi], &correct[lo..hi]);
+                fused.observe_batch(p, b, c, &mut keys_f[lo..hi]);
+                scalar.observe_batch(p, b, c, &mut keys_s[lo..hi]);
+                if lo == 0 {
+                    fused.flush();
+                    scalar.flush();
+                }
+            }
+            assert_eq!(keys_f, keys_s, "{name}");
+            let (mut blob_f, mut blob_s) = (Vec::new(), Vec::new());
+            fused.state_save(&mut blob_f);
+            scalar.state_save(&mut blob_s);
+            assert_eq!(blob_f, blob_s, "{name}");
         }
     }
 

@@ -496,18 +496,52 @@ mod tests {
         assert_eq!(full.strength, 0);
     }
 
+    /// `predict_train`, `predict_train_full`, and `predict_full` followed
+    /// by `update` must agree on every prediction and end in identical
+    /// state. The stream mixes periodic, random, and long-loop branches
+    /// over a real history register so TAGE's tagged components, loop
+    /// table, and corrector all train.
     #[test]
     fn predict_train_full_matches_predict_full_then_update() {
-        let mut a = crate::Gshare::new(6, 6);
-        let mut b = crate::Gshare::new(6, 6);
-        let mut x = 3u64;
-        for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let (pc, bhr, taken) = (x & 0xfff, x >> 20, x >> 63 == 1);
-            let via_split = a.predict_full(pc, bhr);
-            a.update(pc, bhr, taken);
-            let via_fused = b.predict_train_full(pc, bhr, taken);
-            assert_eq!(via_split, via_fused);
+        type Make = fn() -> Box<dyn BranchPredictor>;
+        let makes: [Make; 5] = [
+            || Box::new(crate::Gshare::new(6, 6)),
+            || Box::new(crate::Tage::new(8, 4, 2, 24, 8)),
+            || Box::new(crate::TageScLite::new(8, 4, 2, 24, 8)),
+            || Box::new(crate::Tage::reference_64k()),
+            || Box::new(crate::TageScLite::reference_64k()),
+        ];
+        for make in makes {
+            let (mut split, mut fused, mut fused_full) = (make(), make(), make());
+            let name = split.describe();
+            let mut bhr = crate::HistoryRegister::new(64);
+            let mut x = 3u64;
+            for i in 0..20_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pc = 0x40 + ((x >> 33) % 61) * 4;
+                let taken = match (x >> 40) % 3 {
+                    0 => i % 7 != 6,
+                    1 => x >> 63 == 1,
+                    _ => i % 41 != 40,
+                };
+                let h = bhr.value();
+                let via_split = split.predict_full(pc, h);
+                split.update(pc, h, taken);
+                let via_fused = fused_full.predict_train_full(pc, h, taken);
+                assert_eq!(via_split, via_fused, "{name} record {i}");
+                let via_train = fused.predict_train(pc, h, taken);
+                assert_eq!(via_split.taken, via_train, "{name} record {i}");
+                bhr.push(taken);
+            }
+            let save = |p: &dyn BranchPredictor| {
+                let mut blob = Vec::new();
+                p.state_save(&mut blob);
+                blob
+            };
+            assert_eq!(save(&*split), save(&*fused_full), "{name}");
+            assert_eq!(save(&*split), save(&*fused), "{name}");
         }
     }
 
