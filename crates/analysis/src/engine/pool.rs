@@ -8,11 +8,11 @@
 //! tasks from busy ones, so grids with many more tasks than cores saturate
 //! the machine.
 //!
-//! Topology: one shared injector queue plus one deque per worker. Batch
-//! submission distributes tasks round-robin across the worker deques;
-//! a worker pops from its own deque first, then the injector, then steals
-//! from siblings. The submitting thread *helps* (runs queued tasks) while
-//! it waits, which also makes nested submissions deadlock-free.
+//! Topology: one deque per worker. [`WorkerPool::scope_map`] distributes
+//! its tasks round-robin across the worker deques; a worker pops from its
+//! own deque first, then steals from siblings. The submitting thread
+//! *helps* (runs queued tasks) while it waits, which also makes nested
+//! submissions deadlock-free.
 //!
 //! Sizing: [`WorkerPool::global`] uses `CIRA_JOBS` if set (a positive
 //! integer), else [`std::thread::available_parallelism`]. Results are
@@ -40,8 +40,9 @@ pub struct PoolMetrics {
     pub tasks_executed: Counter,
     /// Tasks claimed from a *sibling's* deque (work stealing events).
     pub tasks_stolen: Counter,
-    /// Fire-and-forget tasks pushed through the shared injector
-    /// ([`WorkerPool::spawn`]).
+    /// Always zero: the pool no longer has a fire-and-forget entry point
+    /// (`cira-serve` scores batches on its own shards). Kept so readers
+    /// of this struct keep compiling.
     pub tasks_injected: Counter,
     /// Wall-clock task execution latency in microseconds.
     pub task_latency_us: Histogram,
@@ -54,8 +55,6 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 struct Shared {
-    /// Overflow queue for tasks not assigned to a specific worker.
-    injector: Mutex<VecDeque<Job>>,
     /// One deque per worker; owners pop the front, thieves steal the back.
     queues: Vec<Mutex<VecDeque<Job>>>,
     /// Queued-but-not-yet-claimed jobs, used to gate worker sleep.
@@ -69,18 +68,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Claims one job: own deque first, then the injector, then steal.
-    /// `home` is `None` for non-worker (helping) threads.
+    /// Claims one job: own deque first, then steal. `home` is `None` for
+    /// non-worker (helping) threads.
     fn claim(&self, home: Option<usize>) -> Option<Job> {
         if let Some(h) = home {
             if let Some(job) = lock_clean(&self.queues[h]).pop_front() {
                 self.pending.fetch_sub(1, Ordering::AcqRel);
                 return Some(job);
             }
-        }
-        if let Some(job) = lock_clean(&self.injector).pop_front() {
-            self.pending.fetch_sub(1, Ordering::AcqRel);
-            return Some(job);
         }
         let n = self.queues.len();
         let start = home.map(|h| h + 1).unwrap_or(0);
@@ -98,12 +93,11 @@ impl Shared {
         None
     }
 
-    /// Executes one claimed job, timing it and containing any panic.
-    /// Panics are caught at the batch layer; a stray panic from a raw
-    /// `submit` job must not kill the worker.
+    /// Executes one claimed job and times it. Jobs never unwind: each
+    /// catches its own panic for [`WorkerPool::scope_map`] to re-raise.
     fn run(&self, job: Job) {
         let t0 = Instant::now();
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        job();
         self.metrics
             .task_latency_us
             .record(t0.elapsed().as_micros() as u64);
@@ -129,6 +123,27 @@ impl Shared {
     }
 }
 
+/// Completion count of one [`WorkerPool::scope_map`] call, co-owned by
+/// the caller and every job of the batch.
+struct Latch {
+    remaining: AtomicUsize,
+    gate: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _g = lock_clean(&self.gate);
+            self.cv.notify_all();
+        }
+    }
+
+    fn is_open(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
+    }
+}
+
 /// A persistent work-stealing thread pool; see the module docs.
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -148,7 +163,6 @@ impl WorkerPool {
     pub fn new(jobs: usize) -> Self {
         let jobs = jobs.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
             queues: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
@@ -208,20 +222,24 @@ impl WorkerPool {
             return (0..n).map(|i| f(i, &items[i])).collect();
         }
 
+        // Results and the first panic live on this frame; completion
+        // lives in an `Arc` every job holds. The last job to finish
+        // signals *after* its count reaches zero, when this call may
+        // already have returned, so that signal must touch only memory
+        // the job co-owns.
         struct Batch<R> {
             slots: Vec<Mutex<Option<R>>>,
-            done: AtomicUsize,
             panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-            gate: Mutex<()>,
-            cv: Condvar,
         }
         let batch = Batch {
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            done: AtomicUsize::new(0),
             panic: Mutex::new(None),
+        };
+        let latch = Arc::new(Latch {
+            remaining: AtomicUsize::new(n),
             gate: Mutex::new(()),
             cv: Condvar::new(),
-        };
+        });
 
         let run_one = |i: usize| {
             match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
@@ -233,26 +251,29 @@ impl WorkerPool {
                     }
                 }
             }
-            if batch.done.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                let _g = lock_clean(&batch.gate);
-                batch.cv.notify_all();
-            }
         };
 
         // Jobs capture a shared reference to the runner (the reference is
         // `Copy`, so each job can move its own copy).
         let run_one = &run_one;
 
-        // SAFETY: every job runs exactly once before this function returns:
-        // `done` is incremented only after a job body finishes, the wait
-        // below does not return until `done == n`, and neither workers nor
-        // the pool drop queued jobs while the pool is alive (the `&self`
-        // borrow keeps it alive). Therefore the borrows of `items`, `f`,
-        // and `batch` captured by the jobs never outlive this frame, and
-        // erasing their lifetime to `'static` for the queue is sound.
+        // SAFETY: every job finishes `run_one` before this function
+        // returns: a job counts `latch` down only after `run_one` returns,
+        // the wait below does not return until the count is zero, and
+        // neither workers nor the pool drop queued jobs while the pool is
+        // alive (the `&self` borrow keeps it alive). So the borrows of
+        // `items`, `f` and `batch` that `run_one` holds are never used
+        // after this frame ends. What a job does after its count-down
+        // (signalling the condvar, dropping its closure) touches only the
+        // `Arc<Latch>` it owns, so erasing the closure's lifetime to
+        // `'static` for the queue is sound.
         let jobs: Vec<Job> = (0..n)
             .map(|i| {
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || run_one(i));
+                let latch = Arc::clone(&latch);
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    run_one(i);
+                    latch.count_down();
+                });
                 unsafe {
                     std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job)
                 }
@@ -261,14 +282,14 @@ impl WorkerPool {
         self.submit(jobs);
 
         // Help with queued work (this batch's or anyone's) while waiting.
-        while batch.done.load(Ordering::Acquire) < n {
+        while !latch.is_open() {
             if let Some(job) = self.shared.claim(None) {
                 self.shared.run(job);
                 continue;
             }
-            let g = lock_clean(&batch.gate);
-            if batch.done.load(Ordering::Acquire) < n {
-                drop(batch.cv.wait(g).unwrap_or_else(|e| e.into_inner()));
+            let g = lock_clean(&latch.gate);
+            if !latch.is_open() {
+                drop(latch.cv.wait(g).unwrap_or_else(|e| e.into_inner()));
             }
         }
 
@@ -286,34 +307,14 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Enqueues one fire-and-forget job on the pool.
-    ///
-    /// Unlike [`scope_map`](Self::scope_map) this does not wait: the job
-    /// runs on some worker whenever one is free, and a panic inside it is
-    /// caught and discarded (the pool stays healthy). This is the entry
-    /// point for event-driven users — `cira-serve` schedules each
-    /// session's batch-processing turns here so connection handling fans
-    /// out over the same workers as the offline experiment grid.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        // Spawned jobs go through the shared injector rather than a
-        // specific worker's deque: no worker owns them, any idle worker
-        // picks them up, and the injector depth gauge shows the backlog
-        // of event-driven work distinctly from batch work.
-        lock_clean(&self.shared.injector).push_back(Box::new(job));
-        self.shared.metrics.tasks_injected.inc();
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        let _g = lock_clean(&self.shared.sleep);
-        self.shared.wake.notify_all();
-    }
-
     /// Scheduling counters and the task latency histogram.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.shared.metrics
     }
 
     /// Registers this pool's metrics on `reg` under `pool_*` names:
-    /// executed/stolen/injected counters, the task latency histogram, the
-    /// worker count, and live injector / per-worker queue depth gauges.
+    /// executed/stolen counters, the task latency histogram, the worker
+    /// count, and live per-worker queue depth gauges.
     ///
     /// Takes `&'static self` because the registry closures read the pool
     /// on every scrape; both [`WorkerPool::global`] and the leaked pool in
@@ -330,11 +331,6 @@ impl WorkerPool {
             "Tasks claimed from a sibling worker's deque",
             move || m.tasks_stolen.get(),
         );
-        reg.counter(
-            "pool_tasks_injected_total",
-            "Fire-and-forget tasks pushed through the shared injector",
-            move || m.tasks_injected.get(),
-        );
         reg.histogram(
             "pool_task_latency_us",
             "Task execution wall-clock latency in microseconds",
@@ -343,11 +339,6 @@ impl WorkerPool {
         reg.gauge("pool_workers", "Number of pool worker threads", move || {
             self.workers() as i64
         });
-        reg.gauge(
-            "pool_injector_depth",
-            "Jobs waiting in the shared injector queue",
-            move || lock_clean(&self.shared.injector).len() as i64,
-        );
         for w in 0..self.workers() {
             let label = w.to_string();
             reg.gauge_with(
@@ -478,48 +469,40 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_executed_and_injected_tasks() {
+    fn metrics_count_executed_tasks() {
         let pool = WorkerPool::new(2);
         let items: Vec<u32> = (0..64).collect();
         pool.scope_map(&items, |_, &x| x);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..5 {
-            let h = Arc::clone(&hits);
-            pool.spawn(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        while hits.load(Ordering::SeqCst) < 5 {
-            std::thread::yield_now();
-        }
         let m = pool.metrics();
-        assert_eq!(m.tasks_injected.get(), 5);
-        // Everything queued was executed and timed (the batch plus the
-        // spawned jobs; steal counts are scheduling-dependent).
-        assert_eq!(m.tasks_executed.get(), 64 + 5);
-        assert_eq!(m.task_latency_us.snapshot().count, 64 + 5);
+        // Everything queued was executed and timed (steal counts are
+        // scheduling-dependent); nothing is injected any more.
+        assert_eq!(m.tasks_executed.get(), 64);
+        assert_eq!(m.task_latency_us.snapshot().count, 64);
         assert!(m.tasks_stolen.get() <= m.tasks_executed.get());
+        assert_eq!(m.tasks_injected.get(), 0);
     }
 
+    /// Two callers share one pool and each runs many small batches. The
+    /// last job of a batch signals its caller, which then returns; that
+    /// signal must not touch the caller's stack frame, or a worker can
+    /// write into a frame that already belongs to the next batch. Only a
+    /// release build schedules tightly enough to hit that window.
     #[test]
-    fn spawned_jobs_run_and_panics_are_contained() {
+    fn concurrent_callers_share_one_pool() {
         let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..32 {
-            let h = Arc::clone(&hits);
-            pool.spawn(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.spawn(|| panic!("contained"));
-        // spawn() gives no completion handle; scope_map on the same pool
-        // cannot finish before earlier queued jobs have been claimed, and
-        // each job bumps the counter before returning.
-        while hits.load(Ordering::SeqCst) < 32 {
-            std::thread::yield_now();
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 32);
-        // Pool still usable after the panicking job.
-        assert_eq!(pool.scope_map(&[2u32], |_, &x| x * 2), vec![4]);
+        let items: Vec<u64> = (0..71).collect();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (pool, items) = (&pool, &items);
+                s.spawn(move || {
+                    for round in 0..20_000u64 {
+                        let out = pool.scope_map(items, |i, &x| x * 3 + t + round + i as u64);
+                        for (i, &y) in out.iter().enumerate() {
+                            assert_eq!(y, items[i] * 3 + t + round + i as u64);
+                        }
+                    }
+                });
+            }
+        });
     }
 }

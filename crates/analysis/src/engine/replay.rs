@@ -421,7 +421,7 @@ impl StreamingReplay {
         while start < n {
             let c = CHUNK.min(n - start);
             // Chunk-level flight-recorder span; ambient context set by the
-            // worker that checked this batch out (a no-op when disabled).
+            // shard scoring this batch (a no-op when disabled).
             let span = cira_obs::trace::enabled()
                 .then(|| cira_obs::trace::Span::begin_ctx(cira_obs::trace::Stage::Chunk));
             h = super::simd::fill_chunk(

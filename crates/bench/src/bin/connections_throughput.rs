@@ -1,7 +1,7 @@
 //! Connection-scale throughput of the sharded `cira-serve` event loop.
 //!
-//! A real server (N epoll shards, the shared worker pool) on a loopback
-//! socket; a fleet of client threads opens sessions back-to-back, each
+//! A real server (N epoll shards, each scoring its own connections) on a
+//! loopback socket; a fleet of client threads opens sessions back-to-back, each
 //! session streaming its share of `CIRA_TRACE_LEN` branches in batches
 //! and closing with a GOODBYE. Reported: sessions/s, records/s, and the
 //! p50/p99 whole-session service time (connect through GOODBYE_ACK) —

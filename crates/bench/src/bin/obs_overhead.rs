@@ -103,12 +103,13 @@ fn run_instrumented(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
     (mispredicts, low_total)
 }
 
-/// The instrumented loop plus the flight-recorder operations the server's
-/// batch path performs per batch — a `Score` span pair around the scoring
-/// call and a `Checkout`/`Complete` instant on either side — with the
-/// recorder left disabled. `Span::begin`/`instant` bail on one relaxed
-/// load of the enable gate, so this is the cost a server with tracing
-/// compiled in but switched off pays.
+/// The instrumented loop plus the flight-recorder operations of the
+/// server's batch path — a `Score` span pair around the scoring call and
+/// a `Checkout`/`Complete` instant on either side — with the recorder
+/// left disabled. `Span::begin`/`instant` bail on one relaxed load of the
+/// enable gate, so this is the cost a server with tracing compiled in but
+/// switched off pays. The server now scores on its shard and emits only
+/// the `Score` span, so the two instants make this an upper bound.
 fn run_traced_disabled(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
     use cira_obs::trace::{self, Stage};
     assert!(!trace::enabled(), "this path measures the disabled gate");

@@ -493,7 +493,7 @@ fn trace_dump_pulls_chrome_json_from_a_traced_server() {
     let json = std::fs::read_to_string(&out_path).unwrap();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
     assert!(json.contains("\"traceEvents\""), "{json}");
-    for stage in ["accept", "parse", "score", "complete", "write_flush"] {
+    for stage in ["accept", "parse", "score", "write_queue", "write_flush"] {
         assert!(json.contains(&format!("\"{stage}\"")), "missing {stage} in dump");
     }
 

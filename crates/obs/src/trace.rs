@@ -70,15 +70,19 @@ pub enum Stage {
     Accept = 0,
     /// A complete frame was parsed out of a connection's read buffer.
     Parse = 1,
-    /// A message crossed a shard inbox (hand-off, completion post).
+    /// A message crossed a shard inbox (new socket, connection hand-off).
     Inbox = 2,
-    /// A batch run was checked out of its connection onto the pool.
+    /// A batch run was checked out of its connection onto a worker pool.
+    /// `cira-serve` scores on its shards and no longer emits it; the
+    /// variant stays so stage numbering and tools that name every stage
+    /// are unchanged.
     Checkout = 3,
-    /// Kernel scoring of one batch run on a worker thread.
+    /// Kernel scoring of one batch.
     Score = 4,
     /// One kernel chunk inside a scoring call.
     Chunk = 5,
-    /// A finished run landed back on its owning shard.
+    /// A finished run landed back on its owning shard. No longer emitted
+    /// by `cira-serve`; kept for the same reason as [`Stage::Checkout`].
     Complete = 6,
     /// A frame was serialized onto a connection's write queue.
     WriteQueue = 7,

@@ -29,10 +29,9 @@
 //! * [`server`] — N sharded epoll event loops (thread-per-core, not
 //!   thread-per-connection): nonblocking sockets with per-connection
 //!   parse buffers and write queues, stable session affinity for
-//!   resumes, batch execution on a shared
-//!   [`cira_analysis::engine::pool::WorkerPool`] with completions waking
-//!   the owning shard, backpressure, graceful drain, capacity shedding,
-//!   and session parking;
+//!   resumes, batches scored in place by the shard that owns the
+//!   connection, backpressure, graceful drain, capacity shedding, and
+//!   session parking;
 //! * [`client`] — a blocking client with windowed batch pipelining,
 //!   configured via [`client::ClientBuilder`], that transparently
 //!   reconnects and resumes under a [`client::RetryPolicy`];
@@ -43,8 +42,8 @@
 //!   text over the wire), and HTTP `GET /metrics` when
 //!   [`server::ServerConfig::metrics_addr`] is set. Since rev 1.5 the
 //!   server also threads [`cira_obs::trace`] flight-recorder spans
-//!   through every pipeline stage (accept → parse → checkout → score →
-//!   complete → write, plus park spill/load and cross-shard migration),
+//!   through every pipeline stage (accept → parse → score → write,
+//!   plus park spill/load and cross-shard migration),
 //!   exported as Chrome trace JSON via `GET /trace`, the `TRACE_DUMP`
 //!   frame, `SIGUSR1`, and automatic crash dumps
 //!   ([`server::ServerConfig::trace`]);

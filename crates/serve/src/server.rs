@@ -1,5 +1,5 @@
-//! The TCP server: N sharded epoll event loops (thread-per-core), with
-//! batch execution fanned across a shared [`WorkerPool`].
+//! The TCP server: N sharded epoll event loops (thread-per-core); the
+//! shard that owns a connection also scores its batches.
 //!
 //! # Threading model
 //!
@@ -11,34 +11,34 @@
 //!   session are single-threaded state, mutated only by that shard.
 //! * **Readiness-driven parsing**: a readable socket is drained into a
 //!   per-connection [`crate::frame::FrameBuffer`]; complete frames are
-//!   pulled out incrementally. Control frames (`STATS`, `SNAPSHOT`,
-//!   `RESET`, `GOODBYE`, …) are answered inline on the shard; `BATCH`
-//!   runs are checked out with the session and executed on the shared
-//!   [`WorkerPool`], and the acks come back to the owning shard via its
-//!   inbox — heavy scoring work is multiplexed over the pool's threads
-//!   no matter how many connections exist.
+//!   pulled out incrementally and dispatched in arrival order, all on
+//!   the owning shard: control frames (`STATS`, `SNAPSHOT`, `RESET`,
+//!   `GOODBYE`, …) are answered inline, and a run of `BATCH`es is
+//!   scored in place (about 10 µs per 500 records) with its acks queued
+//!   straight onto the write queue. Scoring never leaves the shard.
 //! * **Session affinity**: a resume token `t` is owned by shard
 //!   `t % nshards` — `HELLO` mints tokens that map back to the issuing
 //!   shard, and a `RESUME` arriving anywhere else migrates the
 //!   connection (socket, buffers and all) to its owner before the park
 //!   lookup. A resumed session therefore always lands on the shard that
 //!   ran it before it parked.
-//! * **Backpressure**: a session with `max_inflight` undispatched
-//!   batches stops being read (its `EPOLLIN` interest is dropped) — the
-//!   client eventually blocks on TCP write, bounding memory per
-//!   connection. Acks queue on a write queue flushed on `EPOLLOUT`; a
-//!   peer that stops reading its acks trips the per-frame
-//!   [`ServerConfig::write_timeout_ms`] deadline instead of pinning a
-//!   thread.
+//! * **Backpressure**: a shard reads a connection only as fast as it
+//!   scores it. One dispatch turn scores only the frames parsed from
+//!   that turn's bounded ingest, and a client that outruns the shard
+//!   blocks on TCP write once the socket buffers fill. Acks queue on a
+//!   write queue flushed on `EPOLLOUT`; a peer that stops reading its
+//!   acks trips the per-frame [`ServerConfig::write_timeout_ms`]
+//!   deadline instead of pinning a thread.
 //! * **Timers** — park TTL sweeps, background spill of hot-only parked
 //!   sessions to the disk tier, idle eviction, slow-loris stall
 //!   tracking, and write deadlines — all run as shard-local ticks every
 //!   [`ServerConfig::read_tick_ms`].
 //! * **Shutdown**: triggering the [`ShutdownToken`] stops the accept
-//!   loop and puts every shard into drain: in-flight batch runs finish
-//!   and are acked, every connection gets a `SHUTTING_DOWN` error, and
-//!   [`ServerHandle::shutdown_and_join`] returns only after all shards
-//!   exited and the park drained to disk — no accepted work is dropped.
+//!   loop and puts every shard into drain: every batch already parsed
+//!   is scored and acked, every connection gets a `SHUTTING_DOWN`
+//!   error, and [`ServerHandle::shutdown_and_join`] returns only after
+//!   all shards exited and the park drained to disk — no accepted work
+//!   is dropped.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -54,7 +54,6 @@ use cira_analysis::engine::pool::WorkerPool;
 use cira_obs::http::MetricsServer;
 use cira_obs::trace::{self, Stage};
 use cira_obs::Registry;
-use cira_trace::codec::PackedTrace;
 
 use crate::event::{
     Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
@@ -79,10 +78,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const EVENTS_PER_WAIT: usize = 128;
 /// Hot-only parked sessions written to disk per background spill step.
 const SPILL_BATCH: usize = 32;
-/// Parsed-but-undispatched frames tolerated beyond `max_inflight`
-/// before a connection's read interest is dropped (control frames are
-/// cheap; only batches count against `max_inflight` itself).
-const PARSED_HEADROOM: usize = 16;
 
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
@@ -301,10 +296,8 @@ impl Shared {
 }
 
 /// A session attached to a live connection, with its server-side id.
-/// While a batch run executes on the pool the `Active` travels with the
-/// job (checked out of the connection) and comes back in the
-/// [`Done`] completion — at most one job runs a session at a time, so
-/// batches apply in arrival order with no locking around session state.
+/// Only the owning shard ever touches it, so batches apply in arrival
+/// order with no locking around session state.
 #[derive(Debug)]
 struct Active {
     id: u64,
@@ -346,14 +339,10 @@ struct ConnState {
     rbuf: FrameBuffer,
     /// Decoded frames awaiting dispatch.
     parsed: VecDeque<ClientFrame>,
-    /// Batches inside `parsed` (the backpressure signal).
-    queued_batches: usize,
     /// Outbound frames awaiting `EPOLLOUT`.
     wq: VecDeque<WriteItem>,
-    /// The attached session, unless checked out into a running job.
+    /// The attached session, if any.
     active: Option<Active>,
-    /// A batch run for this connection is executing on the pool.
-    busy: bool,
     /// Interest bits currently registered with epoll.
     interest: u32,
     /// When the last complete frame arrived (idle eviction).
@@ -369,7 +358,7 @@ struct ConnState {
     /// The stream is unusable; queued writes are discarded.
     io_dead: bool,
     /// Set once the connection is condemned; it tears down as soon as
-    /// it is not busy and its write queue has drained (or died).
+    /// its write queue has drained (or died).
     closing: Option<Close>,
 }
 
@@ -381,10 +370,8 @@ impl ConnState {
             token,
             rbuf: FrameBuffer::new(),
             parsed: VecDeque::new(),
-            queued_batches: 0,
             wq: VecDeque::new(),
             active: None,
-            busy: false,
             interest: 0,
             last_frame: Instant::now(),
             ingested: 0,
@@ -406,21 +393,12 @@ struct Handoff {
     resume: ClientFrame,
 }
 
-/// A finished batch run coming back from the pool to the owning shard.
-#[derive(Debug)]
-struct Done {
-    conn_id: u64,
-    active: Active,
-    acks: Vec<ServerFrame>,
-}
-
 /// Messages posted to a shard's inbox (new sockets from the acceptor,
-/// migrating connections, batch completions).
+/// migrating connections).
 #[derive(Debug)]
 enum ShardMsg {
     NewConn(TcpStream),
     Handoff(Box<Handoff>),
-    Done(Box<Done>),
 }
 
 /// A shard's cross-thread mailbox: a locked queue plus the eventfd that
@@ -463,7 +441,6 @@ struct Shard {
     index: usize,
     nshards: usize,
     cfg: ServerConfig,
-    pool: &'static WorkerPool,
     shared: Arc<Shared>,
     /// This shard's own mailbox.
     me: Arc<ShardShared>,
@@ -554,18 +531,6 @@ impl Shard {
                     trace::instant(Stage::Inbox, 0, 0, self.index as u16, 1);
                     self.adopt(h);
                 }
-                Some(ShardMsg::Done(d)) => {
-                    if trace::enabled() {
-                        trace::instant(
-                            Stage::Inbox,
-                            conn_trace_id(self.index, d.conn_id),
-                            d.active.session.token(),
-                            self.index as u16,
-                            d.acks.len() as u64,
-                        );
-                    }
-                    self.complete(d);
-                }
                 None => break,
             }
         }
@@ -642,53 +607,6 @@ impl Shard {
         self.pump_and_dispose(id, conn);
     }
 
-    /// Lands a finished batch run: the session checks back in, acks are
-    /// queued, and anything the connection parsed meanwhile dispatches.
-    fn complete(&mut self, d: Box<Done>) {
-        let Done {
-            conn_id,
-            active,
-            acks,
-        } = *d;
-        let Some(mut conn) = self.conns.remove(&conn_id) else {
-            // Defensive: connections stay in the map while busy, so this
-            // should not happen — but never silently lose a session.
-            self.park_orphan(active);
-            return;
-        };
-        if trace::enabled() {
-            trace::instant(
-                Stage::Complete,
-                conn_trace_id(self.index, conn_id),
-                active.session.token(),
-                self.index as u16,
-                acks.len() as u64,
-            );
-        }
-        conn.busy = false;
-        debug_assert!(conn.active.is_none(), "session double-attached");
-        conn.active = Some(active);
-        for ack in &acks {
-            self.send(&mut conn, ack);
-        }
-        self.pump_and_dispose(conn_id, conn);
-    }
-
-    /// Parks a session whose connection vanished mid-run (mirrors the
-    /// teardown park path, minus the socket).
-    fn park_orphan(&self, active: Active) {
-        if self.cfg.park_capacity == 0 && !self.shared.park.has_disk() {
-            self.shared.metrics.sessions_live.dec();
-            return;
-        }
-        let token = active.session.token();
-        let outcome = self.shared.park.insert(token, active.id, active.session);
-        self.shared.account_park(&outcome);
-        if self.cfg.park_capacity > 0 || outcome.persisted {
-            self.shared.metrics.sessions_parked.inc();
-        }
-    }
-
     /// One connection's readiness: ingest, flush, then pump.
     fn service(&mut self, id: u64, ready: u32) {
         let Some(mut conn) = self.conns.remove(&id) else { return };
@@ -727,7 +645,7 @@ impl Shard {
         if conn.closing.is_none() {
             self.parse(&mut conn);
         }
-        if let Some((owner, resume)) = self.dispatch(id, &mut conn) {
+        if let Some((owner, resume)) = self.dispatch(&mut conn) {
             let _ = self.epoll.del(conn.fd);
             conn.interest = 0;
             if trace::enabled() {
@@ -756,7 +674,6 @@ impl Shard {
         self.finish_checks(&mut conn);
         if conn.closing.is_some() {
             conn.parsed.clear();
-            conn.queued_batches = 0;
         }
         self.dispose(id, conn);
     }
@@ -780,12 +697,7 @@ impl Shard {
                         );
                     }
                     match decode_client(&body) {
-                        Ok(frame) => {
-                            if matches!(frame, ClientFrame::Batch { .. }) {
-                                conn.queued_batches += 1;
-                            }
-                            conn.parsed.push_back(frame);
-                        }
+                        Ok(frame) => conn.parsed.push_back(frame),
                         Err(e) => {
                             self.conn_error(conn, code::MALFORMED, e.to_string());
                             conn.closing = Some(Close::Abrupt);
@@ -808,44 +720,18 @@ impl Shard {
         }
     }
 
-    /// Dispatches parsed frames in order until the connection is busy,
-    /// condemned, or out of frames. Consecutive batches are checked out
-    /// as one pool job. Returns a migration target if a `RESUME` belongs
-    /// to another shard.
-    fn dispatch(&mut self, id: u64, conn: &mut ConnState) -> Option<(usize, ClientFrame)> {
-        loop {
-            if conn.closing.is_some() || conn.busy {
-                return None;
-            }
-            let batch_run = matches!(conn.parsed.front(), Some(ClientFrame::Batch { .. }))
-                && conn.active.is_some();
-            if batch_run {
-                let mut run = Vec::new();
-                while matches!(conn.parsed.front(), Some(ClientFrame::Batch { .. })) {
-                    if let Some(ClientFrame::Batch { seq, records }) = conn.parsed.pop_front()
-                    {
-                        conn.queued_batches = conn.queued_batches.saturating_sub(1);
-                        run.push((seq, records));
-                    }
-                }
-                let active = conn.active.take().expect("session checked above");
-                conn.busy = true;
-                if trace::enabled() {
-                    trace::instant(
-                        Stage::Checkout,
-                        conn_trace_id(self.index, id),
-                        active.session.token(),
-                        self.index as u16,
-                        run.len() as u64,
-                    );
-                }
-                self.spawn_batch_job(id, active, run);
+    /// Dispatches parsed frames in arrival order until the connection is
+    /// condemned or out of frames. A run of consecutive batches is scored
+    /// in place. Returns a migration target if a `RESUME` belongs to
+    /// another shard.
+    fn dispatch(&mut self, conn: &mut ConnState) -> Option<(usize, ClientFrame)> {
+        while conn.closing.is_none() {
+            let batch_next = matches!(conn.parsed.front(), Some(ClientFrame::Batch { .. }));
+            if batch_next && conn.active.is_some() {
+                self.score_run(conn);
                 continue;
             }
             let frame = conn.parsed.pop_front()?;
-            if matches!(frame, ClientFrame::Batch { .. }) {
-                conn.queued_batches = conn.queued_batches.saturating_sub(1);
-            }
             match self.process_frame(conn, frame) {
                 Action::Continue => {}
                 Action::CloseClean => conn.closing = Some(Close::Clean),
@@ -853,55 +739,58 @@ impl Shard {
                 Action::Migrate { owner, resume } => return Some((owner, resume)),
             }
         }
+        None
     }
 
-    /// Ships a run of batches (with the checked-out session) to the
-    /// worker pool; the completion comes back through this shard's inbox.
-    fn spawn_batch_job(&self, id: u64, mut active: Active, run: Vec<(u32, PackedTrace)>) {
-        let metrics = Arc::clone(&self.shared.metrics);
-        let me = Arc::clone(&self.me);
-        let trace_id = conn_trace_id(self.index, id);
-        let shard = self.index as u16;
-        self.pool.spawn(move || {
-            // Ambient attribution: chunk events inside the engine and
-            // any store I/O this job triggers inherit the ids.
-            trace::set_ctx(trace_id, active.session.token(), shard);
-            let mut acks = Vec::with_capacity(run.len());
-            for (seq, records) in run {
-                let n = records.len() as u64;
-                let span = trace::Span::begin_ctx(Stage::Score);
-                let t0 = Instant::now();
-                let ack = active.session.apply_batch(seq, &records);
-                let service_us = t0.elapsed().as_micros() as u64;
-                span.end_with(n);
-                if let ServerFrame::BatchAck {
-                    mispredicts,
-                    low_confidence,
-                    ..
-                } = &ack
-                {
-                    metrics.batches.inc();
-                    metrics.records.add(n);
-                    metrics.mispredicts.add(*mispredicts);
-                    metrics.low_confidence.add(*low_confidence);
-                    metrics.batch_records.record(n);
-                    metrics.batch_service_us.record(service_us);
-                }
-                acks.push(ack);
+    /// Scores the run of batches at the front of the parsed queue with
+    /// the attached session, then queues their acks. The whole run is
+    /// scored before any ack is written, so a peer that hung up after
+    /// sending still has every batch it sent applied (the first failed
+    /// write condemns the connection and stops dispatch).
+    fn score_run(&self, conn: &mut ConnState) {
+        let metrics = &self.shared.metrics;
+        let active = conn.active.as_mut().expect("session checked by dispatch");
+        // Ambient attribution: chunk events inside the engine inherit
+        // the ids.
+        trace::set_ctx(
+            conn_trace_id(self.index, conn.token),
+            active.session.token(),
+            self.index as u16,
+        );
+        let mut acks = Vec::new();
+        while let Some(ClientFrame::Batch { seq, records }) = conn.parsed.front() {
+            let n = records.len() as u64;
+            let span = trace::Span::begin_ctx(Stage::Score);
+            let t0 = Instant::now();
+            let ack = active.session.apply_batch(*seq, records);
+            let service_us = t0.elapsed().as_micros() as u64;
+            span.end_with(n);
+            conn.parsed.pop_front();
+            if let ServerFrame::BatchAck {
+                mispredicts,
+                low_confidence,
+                ..
+            } = &ack
+            {
+                metrics.batches.inc();
+                metrics.records.add(n);
+                metrics.mispredicts.add(*mispredicts);
+                metrics.low_confidence.add(*low_confidence);
+                metrics.batch_records.record(n);
+                metrics.batch_service_us.record(service_us);
             }
-            trace::clear_ctx();
-            me.post(ShardMsg::Done(Box::new(Done {
-                conn_id: id,
-                active,
-                acks,
-            })));
-        });
+            acks.push(ack);
+        }
+        trace::clear_ctx();
+        for ack in &acks {
+            self.send(conn, ack);
+        }
     }
 
     /// End-of-stream and drain transitions, once everything parsed has
     /// dispatched.
     fn finish_checks(&mut self, conn: &mut ConnState) {
-        if conn.closing.is_some() || conn.busy || !conn.parsed.is_empty() {
+        if conn.closing.is_some() {
             return;
         }
         if conn.read_eof {
@@ -926,11 +815,11 @@ impl Shard {
         }
     }
 
-    /// Tears down now if condemned and quiescent, otherwise re-arms
-    /// interest and returns the connection to the map.
+    /// Tears down now if condemned and its writes are done, otherwise
+    /// re-arms interest and returns the connection to the map.
     fn dispose(&mut self, id: u64, mut conn: ConnState) {
         if let Some(close) = conn.closing {
-            if !conn.busy && (conn.wq.is_empty() || conn.io_dead) {
+            if conn.wq.is_empty() || conn.io_dead {
                 self.teardown(conn, close == Close::Clean);
                 return;
             }
@@ -939,18 +828,11 @@ impl Shard {
         self.conns.insert(id, conn);
     }
 
-    /// Recomputes and applies epoll interest: reads gated on dispatch
-    /// backlog (backpressure), writes on a non-empty queue.
+    /// Recomputes and applies epoll interest: reads while the connection
+    /// is live, writes on a non-empty queue.
     fn update_interest(&self, conn: &mut ConnState) {
         let mut want = 0u32;
-        let parsed_cap = self.cfg.max_inflight as usize + PARSED_HEADROOM;
-        if conn.closing.is_none()
-            && !conn.read_eof
-            && !conn.io_dead
-            && !self.draining
-            && conn.queued_batches < self.cfg.max_inflight as usize
-            && conn.parsed.len() < parsed_cap
-        {
+        if conn.closing.is_none() && !conn.read_eof && !conn.io_dead && !self.draining {
             want |= EPOLLIN | EPOLLRDHUP;
         }
         if !conn.wq.is_empty() && !conn.io_dead {
@@ -1127,9 +1009,9 @@ impl Shard {
 
     /// Handles one non-batch frame inline on the shard. Ordering with
     /// respect to batches is structural: frames dispatch strictly in
-    /// arrival order and never while a batch run is in flight, so every
-    /// `SNAPSHOT`/`RESET`/`PARK`/`GOODBYE` observes all batches that
-    /// preceded it.
+    /// arrival order and a batch run is scored before the frame after it
+    /// is looked at, so every `SNAPSHOT`/`RESET`/`PARK`/`GOODBYE`
+    /// observes all batches that preceded it.
     fn process_frame(&mut self, conn: &mut ConnState, frame: ClientFrame) -> Action {
         let has_session = conn.active.is_some();
         let metrics = Arc::clone(&self.shared.metrics);
@@ -1324,9 +1206,9 @@ impl Shard {
                 Action::CloseClean
             }
             ClientFrame::Batch { .. } => {
-                // Batches with a session are checked out as pool jobs in
-                // `dispatch`; they never reach this inline path.
-                debug_assert!(false, "BATCH dispatches to the worker pool");
+                // Batches with a session are scored as a run in
+                // `dispatch`; they never reach this path.
+                debug_assert!(false, "BATCH is scored by dispatch");
                 Action::Continue
             }
             ClientFrame::Snapshot => {
@@ -1408,8 +1290,8 @@ impl Shard {
         }
     }
 
-    /// Stops accepting and condemns every idle connection; busy ones
-    /// drain their in-flight run first.
+    /// Stops accepting and puts every connection through its drain:
+    /// frames already parsed are answered, then `SHUTTING_DOWN`.
     fn enter_drain(&mut self) {
         self.draining = true;
         if let Some(listener) = self.listener.take() {
@@ -1476,8 +1358,6 @@ impl Shard {
             // off) just close.
             if !idle_timeout.is_zero()
                 && conn.closing.is_none()
-                && !conn.busy
-                && conn.parsed.is_empty()
                 && !conn.rbuf.mid_frame()
                 && now.duration_since(conn.last_frame) > idle_timeout
             {
@@ -1569,7 +1449,7 @@ impl ServerHandle {
     }
 
     /// Triggers shutdown (idempotent) and blocks until every shard —
-    /// including every queued batch — has finished.
+    /// including every parsed batch — has finished.
     pub fn shutdown_and_join(mut self) {
         self.join_inner();
     }
@@ -1615,8 +1495,10 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` (use port 0 for an ephemeral port) and serves until the
-/// returned handle's shutdown token triggers. Batch work runs on `pool`;
-/// connection I/O runs on [`ServerConfig::shards`] event-loop threads.
+/// returned handle's shutdown token triggers. Connection I/O and batch
+/// scoring run on [`ServerConfig::shards`] event-loop threads; `pool`
+/// runs the durable park's startup recovery scan and its counters join
+/// the server registry.
 ///
 /// # Errors
 ///
@@ -1748,7 +1630,6 @@ pub fn serve(
             index,
             nshards,
             cfg: cfg.clone(),
-            pool,
             shared: Arc::clone(&shared),
             me: Arc::clone(&shard_shared[index]),
             peers: shard_shared.clone(),

@@ -87,13 +87,10 @@ fn live_scrape_body(shards: usize) {
     let service = doc.histogram("cira_session_batch_service_us").unwrap();
     assert_eq!(service.count, 4);
 
-    // Pool layer: the shared worker pool executed the batch drains. A
-    // drain task services every batch queued at that moment, so 4
-    // batches can legitimately coalesce into as little as one task.
+    // Pool layer: the worker pool's gauges join the registry. Batches
+    // are scored on the shards, so the 4 counted in
+    // `cira_session_batch_service_us` above are the scoring evidence.
     assert!(doc.value("cira_pool_workers").unwrap() >= 1.0);
-    assert!(doc.value("cira_pool_tasks_executed_total").unwrap() >= 1.0);
-    let latency = doc.histogram("cira_pool_task_latency_us").unwrap();
-    assert!(latency.count >= 1);
 
     // The wire-level METRICS frame serves the same registry.
     let mut raw = Client::connect_raw(&handle.local_addr().to_string()).unwrap();

@@ -1,10 +1,9 @@
 //! Flight-recorder integration: a real server with tracing **enabled**
 //! must stay bit-identical to the offline engine (the recorder may
 //! observe the pipeline, never perturb it) and its dump must cover the
-//! whole request lifecycle — accept, parse, inbox hand-off, batch
-//! checkout, scoring (and its per-chunk kernel spans), completion,
-//! write queue/flush — plus a park spill, a park load, and a cross-shard
-//! resume migration.
+//! whole request lifecycle — accept, parse, inbox hand-off, scoring on
+//! the owning shard (and its per-chunk kernel spans), write queue/flush —
+//! plus a park spill, a park load, and a cross-shard resume migration.
 
 use cira_analysis::engine::pool::WorkerPool;
 use cira_analysis::engine::replay::StreamingReplay;
@@ -92,10 +91,8 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
         "accept",
         "parse",
         "inbox",
-        "checkout",
         "score",
         "chunk",
-        "complete",
         "write_queue",
         "write_flush",
         "park_spill",
@@ -105,6 +102,14 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
         assert!(
             json.contains(&format!("\"{stage}\"")),
             "no {stage} event in the dump"
+        );
+    }
+    // Scoring never leaves the owning shard: no batch is checked out to
+    // another thread, so nothing comes back to complete.
+    for stage in ["checkout", "complete"] {
+        assert!(
+            !json.contains(&format!("\"{stage}\"")),
+            "unexpected {stage} event in the dump"
         );
     }
 
