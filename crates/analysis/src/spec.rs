@@ -120,7 +120,8 @@ pub enum PredictorSpec {
     },
     /// `tage:<base_bits>:<ncomp>:<minlen>:<maxlen>[:tag_bits]`
     Tage {
-        /// log2 base-bimodal entries (tagged components get 2 fewer bits).
+        /// log2 base-bimodal entries (tagged components get 2 fewer bits;
+        /// all tables together within [`Tage::MAX_TABLE_BYTES`]).
         base_bits: u32,
         /// Number of tagged components (2..=[`Tage::MAX_COMPONENTS`]).
         ncomp: u32,
@@ -133,7 +134,8 @@ pub enum PredictorSpec {
     },
     /// `tage-sc-lite:<base_bits>:<ncomp>:<minlen>:<maxlen>[:tag_bits]`
     TageScLite {
-        /// log2 base-bimodal entries (tagged components get 2 fewer bits).
+        /// log2 base-bimodal entries (tagged components get 2 fewer bits;
+        /// all tables together within [`Tage::MAX_TABLE_BYTES`]).
         base_bits: u32,
         /// Number of tagged components (2..=[`Tage::MAX_COMPONENTS`]).
         ncomp: u32,
@@ -171,6 +173,7 @@ fn check_tage(
 ) -> Result<(u32, u32, u32, u32, u32), SpecError> {
     let ok = (3..=28).contains(&base_bits)
         && (2..=Tage::MAX_COMPONENTS).contains(&ncomp)
+        && Tage::table_bytes(base_bits, ncomp) <= Tage::MAX_TABLE_BYTES
         && (4..=15).contains(&tag_bits)
         && min_len >= 1
         && min_len < max_len
@@ -907,6 +910,33 @@ mod tests {
             assert_eq!(over, format!("{head}:10:13:2:64"));
             let e = over.parse::<PredictorSpec>().unwrap_err();
             assert_eq!(e.kind, "predictor");
+        }
+    }
+
+    /// The table-size bound is `Tage::MAX_TABLE_BYTES`: a spec whose tables
+    /// would need gigabytes is a SpecError in both the bare and the
+    /// `self:` form, never an allocation that aborts the server, while
+    /// the reference and test configurations still build.
+    #[test]
+    fn tage_table_bound_is_the_predictor_bound() {
+        for head in ["tage", "tage-sc-lite"] {
+            let huge = format!("{head}:28:12:1:64:15");
+            let e = huge.parse::<PredictorSpec>().unwrap_err();
+            assert_eq!(e.kind, "predictor");
+            assert!(parse_predictor(&huge).is_err(), "{huge}");
+            let shadow = format!("self:{huge}");
+            let idx = || IndexSpec::pc_xor_bhr(8);
+            assert!(
+                parse_mechanism(&shadow, idx(), InitPolicy::AllOnes).is_err(),
+                "{shadow}"
+            );
+            // The bound's edge, checked without allocating the tables.
+            let edge = |spec: String| spec.parse::<PredictorSpec>().is_ok();
+            assert!(edge(format!("{head}:22:12:1:64")));
+            assert!(!edge(format!("{head}:23:8:1:64")));
+        }
+        for ok in ["tage64k", "tage-sc-lite64k", "tage:16:12:1:64:15"] {
+            assert!(parse_predictor(ok).is_ok(), "{ok}");
         }
     }
 

@@ -26,33 +26,39 @@ const CHUNK: usize = 4096;
 
 /// Lengths that historically break batched kernels: empty, single record,
 /// one less / exactly / one more than a chunk, and a length that is
-/// neither a chunk nor a lane-group multiple.
+/// neither a chunk nor a lane-group multiple (777 and CHUNK − 1 also end
+/// the TAGE block hasher on a short 64-record block).
 const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 777];
 
-const PREDICTORS: [&str; 10] = [
+const PREDICTORS: [&str; 12] = [
     "gshare:10:10",
     "gshare:10:6",
     "gselect:10:4",
     "bimodal:10",
     "local:8:6",
     "agree:10:10:8",
-    // TAGE-class: no batch override — runs the trait-default scalar loop
-    // on both sides, so this checks the engine's chunking/BHR plumbing
-    // around a provider-aware predictor (DESIGN.md §11).
+    // TAGE-class: the block-hashed batch override against the per-record
+    // scalar default (DESIGN.md §11). The 64k cells are the reference
+    // shape: a length-64 component and three-step folds.
     "tage:10:4:2:32:9",
     "tage-sc-lite:10:4:2:32:9",
+    "tage64k",
+    "tage-sc-lite64k",
     "taken",
     "not-taken",
 ];
 
-const MECHANISMS: [&str; 6] = [
+const MECHANISMS: [&str; 8] = [
     "cir:8",
     "ones-count:8",
     "saturating:16",
     "resetting:16",
     "two-level:pcxorbhr-cir",
-    // Shadow-predictor mechanism: also scalar on both sides.
+    // Shadow-predictor mechanisms: the shadow's fused block replay
+    // against the per-record read_key + update default.
     "self:tage:10:4:2:32:9",
+    "self:tage64k",
+    "self:tage-sc-lite64k",
 ];
 
 const INDICES: [&str; 5] = ["pc:10", "bhr:10", "pcxorbhr:10", "pcconcatbhr:10", "gcir:6"];
@@ -193,6 +199,8 @@ fn streaming_random_splits_match_scalar_reference() {
         ("local:8:6", "two-level:pcxorbhr-cir"),
         ("tage:10:4:2:32:9", "resetting:16"),
         ("tage-sc-lite:10:4:2:32:9", "self:tage-sc-lite:10:4:2:32:9"),
+        ("tage64k", "self:tage64k"),
+        ("tage-sc-lite64k", "self:tage-sc-lite64k"),
     ] {
         // Offline scalar reference over the whole trace.
         let mut sc_p = ScalarKernel(parse_predictor(predictor).unwrap());

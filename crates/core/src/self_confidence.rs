@@ -22,6 +22,14 @@
 //! therefore stays in lock-step with the session predictor forever,
 //! without touching the driver, the wire protocol, or the batch kernels.
 //!
+//! `observe_batch` hands a whole batch to the shadow's
+//! [`BranchPredictor::predict_full_train_batch`], which reads each
+//! record's strength and trains on the reconstructed direction in one
+//! pass. TAGE-class shadows override it to hash a block at a time and
+//! walk their tables once per record, so a `self:` cell costs two hashes
+//! and walks per record — the session predictor's and the shadow's —
+//! rather than three.
+//!
 //! Pairing `self:<spec>` with a *different* session predictor is
 //! well-defined and deterministic, but the keys then describe the shadow
 //! rather than the real predictor — the CLI defaults the inner spec to
@@ -56,6 +64,8 @@ pub type ShadowFactory = Box<dyn Fn() -> Box<dyn BranchPredictor + Send> + Send>
 pub struct SelfConfidence {
     shadow: Box<dyn BranchPredictor + Send>,
     rebuild: ShadowFactory,
+    /// Per-batch strength scratch, reused across batches.
+    strengths: Vec<u8>,
 }
 
 impl std::fmt::Debug for SelfConfidence {
@@ -73,6 +83,7 @@ impl SelfConfidence {
         Self {
             shadow: rebuild(),
             rebuild,
+            strengths: Vec::new(),
         }
     }
 
@@ -106,12 +117,14 @@ impl ConfidenceMechanism for SelfConfidence {
             pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
             "observe_batch slices must have equal lengths"
         );
-        // One shadow read per record yields both the key and the
-        // direction `update` would otherwise predict a second time.
-        for i in 0..pcs.len() {
-            let p = self.shadow.predict_full(pcs[i], bhrs[i]);
-            keys[i] = u64::from(p.strength);
-            self.train_shadow(pcs[i], bhrs[i], p.taken, correct[i]);
+        // The hook reads each record's strength and trains the shadow on
+        // the direction `correct` implies, without the second read that
+        // `read_key` followed by `update` makes.
+        self.strengths.resize(pcs.len(), 0);
+        self.shadow
+            .predict_full_train_batch(pcs, bhrs, correct, &mut self.strengths);
+        for (key, &s) in keys.iter_mut().zip(&self.strengths) {
+            *key = u64::from(s);
         }
     }
 
@@ -168,12 +181,15 @@ mod tests {
 
     /// The fused `observe_batch` must match the trait's per-record
     /// `read_key` + `update` loop: same keys, same shadow state, across a
-    /// mid-stream flush, for both TAGE-class shadows.
+    /// mid-stream flush, for both TAGE-class shadows, small and at the
+    /// reference size.
     #[test]
     fn observe_batch_matches_per_record_default() {
-        let makes: [fn() -> ShadowFactory; 2] = [
+        let makes: [fn() -> ShadowFactory; 4] = [
             || Box::new(|| Box::new(Tage::new(8, 4, 2, 24, 8))),
             || Box::new(|| Box::new(TageScLite::new(8, 4, 2, 24, 8))),
+            || Box::new(|| Box::new(Tage::reference_64k())),
+            || Box::new(|| Box::new(TageScLite::reference_64k())),
         ];
         for make in makes {
             let mut fused = SelfConfidence::new(make());

@@ -182,8 +182,9 @@ pub trait BranchPredictor {
     ///
     /// The default implementation is the scalar per-record loop; overrides
     /// (gshare, gselect, bimodal, agree) substitute the branchless
-    /// lane-parallel kernel and **must remain bit-identical** to the
-    /// default — the replay engine's scalar-equivalence suite relies on it.
+    /// lane-parallel kernel, TAGE-class predictors a block-hashed serial
+    /// walk, and all **must remain bit-identical** to the default — the
+    /// replay engine's scalar-equivalence suite relies on it.
     ///
     /// # Panics
     ///
@@ -203,6 +204,44 @@ pub trait BranchPredictor {
             .zip(out_correct.iter_mut())
         {
             *oc = self.predict_train(pc, h, t) == t;
+        }
+    }
+
+    /// Replays the predictor's self-assessment over a batch of resolved
+    /// branches whose *correctness* is known but whose direction is not:
+    /// for each record, takes [`predict_full`](Self::predict_full), writes
+    /// its strength into `strengths`, and trains on the direction that
+    /// correctness implies, `taken = (predicted == correct)`.
+    ///
+    /// This is how a shadow instance keeps in lock-step with an
+    /// identically configured session predictor it only sees through a
+    /// correctness stream. `bhrs` and record order follow
+    /// [`predict_train_batch`](Self::predict_train_batch). The default is
+    /// the per-record loop of `predict_full` followed by
+    /// [`update`](Self::update); overrides (TAGE-class predictors) fuse
+    /// the read and the training into one table walk and **must remain
+    /// bit-identical** to the default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four slices differ in length.
+    fn predict_full_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        correct: &[bool],
+        strengths: &mut [u8],
+    ) {
+        assert_batch_shape(pcs, bhrs, correct, strengths);
+        for (((&pc, &h), &ok), s) in pcs
+            .iter()
+            .zip(bhrs)
+            .zip(correct)
+            .zip(strengths.iter_mut())
+        {
+            let p = self.predict_full(pc, h);
+            *s = p.strength;
+            self.update(pc, h, p.taken == ok);
         }
     }
 
@@ -242,7 +281,7 @@ pub trait BranchPredictor {
 }
 
 /// Validates that the four batch slices agree in length.
-pub(crate) fn assert_batch_shape(pcs: &[u64], bhrs: &[u64], takens: &[bool], out: &[bool]) {
+pub(crate) fn assert_batch_shape<T>(pcs: &[u64], bhrs: &[u64], takens: &[bool], out: &[T]) {
     assert!(
         pcs.len() == bhrs.len() && pcs.len() == takens.len() && pcs.len() == out.len(),
         "batch slices disagree in length: pcs {} bhrs {} takens {} out {}",
@@ -255,9 +294,11 @@ pub(crate) fn assert_batch_shape(pcs: &[u64], bhrs: &[u64], takens: &[bool], out
 
 /// Pins a predictor to the scalar per-record replay path.
 ///
-/// Forwards everything *except* [`BranchPredictor::predict_train_batch`],
-/// so the trait's default scalar loop runs even when the wrapped predictor
-/// carries a vectorized override. This is the reference side of the
+/// Forwards everything *except* the two batch hooks,
+/// [`BranchPredictor::predict_train_batch`] and
+/// [`BranchPredictor::predict_full_train_batch`], so the trait's default
+/// per-record loops run even when the wrapped predictor carries a
+/// vectorized or block override. This is the reference side of the
 /// scalar-vs-vector differential tests and of the `engine_throughput`
 /// kernel comparison; it is not intended for production replays.
 #[derive(Debug, Clone)]
@@ -284,8 +325,8 @@ impl<P: BranchPredictor> BranchPredictor for ScalarKernel<P> {
         self.0.predict_train_full(pc, bhr, taken)
     }
 
-    // predict_train_batch deliberately NOT forwarded: the default
-    // per-record loop over `predict_train` is the scalar reference.
+    // predict_train_batch and predict_full_train_batch deliberately NOT
+    // forwarded: the defaults' per-record loops are the scalar reference.
 
     fn describe(&self) -> String {
         self.0.describe()
@@ -329,6 +370,16 @@ impl<P: BranchPredictor + ?Sized> BranchPredictor for Box<P> {
         out_correct: &mut [bool],
     ) {
         (**self).predict_train_batch(pcs, bhrs, takens, out_correct)
+    }
+
+    fn predict_full_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        correct: &[bool],
+        strengths: &mut [u8],
+    ) {
+        (**self).predict_full_train_batch(pcs, bhrs, correct, strengths)
     }
 
     fn describe(&self) -> String {
@@ -454,7 +505,7 @@ mod tests {
     /// The doc-promised panic on mismatched batch slices must hold for
     /// *every* predictor — the default scalar loop, every vectorized
     /// override, and dyn dispatch — not just whichever override happens
-    /// to check. One ragged call per implementation.
+    /// to check. One ragged call per implementation and batch hook.
     #[test]
     fn batch_shape_contract_is_uniform() {
         let predictors: Vec<Box<dyn BranchPredictor>> = vec![
@@ -472,6 +523,8 @@ mod tests {
             Box::new(crate::Tage::new(6, 4, 2, 16, 7)),
             Box::new(crate::TageScLite::new(6, 4, 2, 16, 7)),
             Box::new(ScalarKernel(crate::Gshare::new(4, 4))),
+            Box::new(ScalarKernel(crate::Tage::new(6, 4, 2, 16, 7))),
+            Box::new(ScalarKernel(crate::TageScLite::new(6, 4, 2, 16, 7))),
         ];
         for mut p in predictors {
             let name = p.describe();
@@ -480,6 +533,11 @@ mod tests {
                 p.predict_train_batch(&[0, 4, 8], &[0, 0, 0], &[true, true, true], &mut out);
             }));
             assert!(result.is_err(), "{name} accepted ragged batch slices");
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut strengths = [0u8; 3];
+                p.predict_full_train_batch(&[0, 4, 8], &[0, 0], &[true; 3], &mut strengths);
+            }));
+            assert!(result.is_err(), "{name} accepted ragged full batch slices");
         }
     }
 
@@ -557,5 +615,124 @@ mod tests {
             assert_eq!(tage.predict_full(pc, 0xa5), boxed.predict_full(pc, 0xa5));
             assert_eq!(tage.predict_full(pc, 0xa5), scalar.predict_full(pc, 0xa5));
         }
+    }
+
+    /// `predict_full_train_batch` — the per-record default (Gshare, and
+    /// every predictor under `ScalarKernel`) and the TAGE-class block
+    /// overrides — equals an explicit `predict_full` + `update` loop on
+    /// every strength and on the final state bytes, across batch splits
+    /// that straddle the 64-record block.
+    #[test]
+    fn full_train_batch_matches_predict_full_then_update() {
+        type Make = fn() -> Box<dyn BranchPredictor>;
+        let makes: [Make; 5] = [
+            || Box::new(crate::Gshare::new(6, 6)),
+            || Box::new(crate::Tage::new(8, 4, 2, 24, 8)),
+            || Box::new(crate::TageScLite::new(8, 4, 2, 24, 8)),
+            || Box::new(crate::Tage::reference_64k()),
+            || Box::new(crate::TageScLite::reference_64k()),
+        ];
+        let save = |p: &dyn BranchPredictor| {
+            let mut blob = Vec::new();
+            p.state_save(&mut blob);
+            blob
+        };
+        for make in makes {
+            let (mut session, mut reference) = (make(), make());
+            let mut batched = make();
+            let mut scalar = ScalarKernel(make());
+            let name = session.describe();
+            let mut bhr = crate::HistoryRegister::new(64);
+            let mut x = 17u64;
+            let (mut pcs, mut bhrs, mut correct) = (Vec::new(), Vec::new(), Vec::new());
+            let mut want = Vec::new();
+            for i in 0..12_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pc = 0x40 + ((x >> 33) % 61) * 4;
+                let taken = match (x >> 40) % 3 {
+                    0 => i % 7 != 6,
+                    1 => x >> 63 == 1,
+                    _ => i % 41 != 40,
+                };
+                let h = bhr.value();
+                let ok = session.predict_train(pc, h, taken) == taken;
+                let p = reference.predict_full(pc, h);
+                reference.update(pc, h, p.taken == ok);
+                want.push(p.strength);
+                pcs.push(pc);
+                bhrs.push(h);
+                correct.push(ok);
+                bhr.push(taken);
+            }
+            let (mut got_b, mut got_s) = (vec![0u8; pcs.len()], vec![0u8; pcs.len()]);
+            let mut at = 0;
+            for len in [0, 1, 63, 64, 65, 127, 4096, 4097].into_iter().cycle() {
+                let end = (at + len).min(pcs.len());
+                let r = at..end;
+                batched.predict_full_train_batch(
+                    &pcs[r.clone()],
+                    &bhrs[r.clone()],
+                    &correct[r.clone()],
+                    &mut got_b[r.clone()],
+                );
+                scalar.predict_full_train_batch(
+                    &pcs[r.clone()],
+                    &bhrs[r.clone()],
+                    &correct[r.clone()],
+                    &mut got_s[r],
+                );
+                at = end;
+                if at == pcs.len() {
+                    break;
+                }
+            }
+            assert_eq!(got_b, want, "{name}");
+            assert_eq!(got_s, want, "{name}");
+            assert_eq!(save(&*batched), save(&*reference), "{name}");
+            assert_eq!(save(&scalar), save(&*reference), "{name}");
+            // The shadow replay tracks the session predictor itself.
+            assert_eq!(save(&*batched), save(&*session), "{name}");
+        }
+    }
+
+    /// `Box` forwards `predict_full_train_batch` to the boxed override;
+    /// `ScalarKernel` deliberately runs the trait default instead.
+    #[test]
+    fn full_train_batch_forwards_through_box_not_scalar_kernel() {
+        /// Marks every strength its override writes, so the test can
+        /// tell which implementation ran.
+        #[derive(Debug)]
+        struct Marked(crate::Bimodal);
+        impl BranchPredictor for Marked {
+            fn predict(&self, pc: u64, bhr: u64) -> bool {
+                self.0.predict(pc, bhr)
+            }
+            fn update(&mut self, pc: u64, bhr: u64, taken: bool) {
+                self.0.update(pc, bhr, taken)
+            }
+            fn predict_full_train_batch(
+                &mut self,
+                _pcs: &[u64],
+                _bhrs: &[u64],
+                _correct: &[bool],
+                strengths: &mut [u8],
+            ) {
+                strengths.fill(0xaa);
+            }
+            fn describe(&self) -> String {
+                "marked".into()
+            }
+        }
+        let (pcs, bhrs, correct) = ([0x40u64, 0x44], [0u64, 1], [true, false]);
+        let mut boxed: Box<dyn BranchPredictor> = Box::new(Marked(crate::Bimodal::new(4)));
+        let mut strengths = [0u8; 2];
+        boxed.predict_full_train_batch(&pcs, &bhrs, &correct, &mut strengths);
+        assert_eq!(strengths, [0xaa; 2]);
+        let mut scalar = ScalarKernel(Marked(crate::Bimodal::new(4)));
+        let mut strengths = [0xffu8; 2];
+        scalar.predict_full_train_batch(&pcs, &bhrs, &correct, &mut strengths);
+        assert_eq!(strengths, [0; 2], "unassessed default strengths");
     }
 }

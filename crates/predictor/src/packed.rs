@@ -153,26 +153,34 @@ impl PackedTwoBit {
     #[inline]
     pub fn prefetch(&self, i: usize) {
         if let Some(slot) = self.words.get(i / LANES) {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `slot` is a live reference, so the pointer is valid;
-            // prefetch has no architectural side effects.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    (slot as *const u64).cast::<i8>(),
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                std::hint::black_box(*slot);
-            }
+            prefetch(slot);
         }
+    }
+}
+
+/// Hints that `slot` will be accessed soon: an L1 prefetch on x86_64, a
+/// plain read the optimizer must keep elsewhere.
+#[inline]
+pub(crate) fn prefetch<T: Copy>(slot: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `slot` is a live reference, so the pointer is valid;
+    // prefetch has no architectural side effects.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(
+            (slot as *const T).cast::<i8>(),
+            core::arch::x86_64::_MM_HINT_T0,
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        std::hint::black_box(*slot);
     }
 }
 
 /// Sub-chunk size for the two-phase gather: indices for the *next* block
 /// are computed and prefetched while the current block's counters are
 /// updated serially, overlapping table-miss latency with update work.
+/// The TAGE batch hooks hash blocks of the same size.
 pub(crate) const BLOCK: usize = 64;
 
 /// Shared batch kernel for predictors whose table index is a pure function

@@ -24,18 +24,27 @@
 //!   yields the `Lookup`, and training reuses both. `predict_train`,
 //!   `predict_train_full` and `update` therefore cost one hash and one
 //!   walk each, and `predict` / `predict_full` are thin wrappers over
-//!   the same path.
+//!   the same path. The folds are closed-form in the driver's BHR — no
+//!   folded-history registers are carried between records.
 //! * **Deterministic allocation.** On a mispredict the allocator takes
 //!   the first not-useful entry above the provider (no PRNG), so replays
 //!   are bit-reproducible — the property every differential suite in
 //!   this repo leans on.
-//! * **Per-record batch loop.** There is no SWAR batch override: per-record
-//!   work is dominated by multi-table gathers that do not lane-pack the way
-//!   the two-bit predictors do, so TAGE runs on the trait's default batch
-//!   loop over the fused `predict_train` (see DESIGN.md §11).
+//! * **Block-hashed batches, serial walks.** The batch hooks
+//!   (`predict_train_batch`, `predict_full_train_batch`) work in
+//!   64-record blocks: one hash routine folds every record's coordinates
+//!   a component at a time, with the shift-XOR steps outside a flat loop
+//!   over the block so it compiles to lane-parallel code; each record's
+//!   tagged entries are prefetched a few records ahead; then the unchanged
+//!   per-record walk and training run in order. Only the hashing is
+//!   batched — a walk depends on every earlier record's training, so the
+//!   walks stay serial (see DESIGN.md §11).
 
+use crate::packed::{prefetch, BLOCK};
 use crate::state::{put_u32, put_u32_slice, put_u64_slice, put_u8, StateReader};
-use crate::{mask, table_len, BranchPredictor, PackedTwoBit, Prediction, Provider};
+use crate::{
+    assert_batch_shape, mask, table_len, BranchPredictor, PackedTwoBit, Prediction, Provider,
+};
 
 /// Saturation bounds of the 3-bit signed provider counters.
 const CTR_MIN: i8 = -4;
@@ -47,6 +56,8 @@ const TICK_PERIOD: u32 = 1 << 18;
 /// `use_alt_on_na` is a 4-bit counter; alt is preferred at or above 8.
 const USE_ALT_MAX: u8 = 15;
 const USE_ALT_INIT: u8 = 8;
+/// Records between a record's tagged-entry prefetch and its walk.
+const PREFETCH_AHEAD: usize = 4;
 
 /// One tagged-component entry: 3-bit signed direction counter, partial
 /// tag, 2-bit useful counter.
@@ -86,29 +97,39 @@ struct Lookup {
 }
 
 /// A record's hashed table coordinates: the base index plus every tagged
-/// component's entry index and partial tag, computed once per `(pc, bhr)`
-/// and shared by the lookup, the training, and the allocator.
-#[derive(Debug, Clone, Copy)]
+/// component's entry index (at most 26 bits) and partial tag, computed
+/// once per `(pc, bhr)` and shared by the lookup, the training, and the
+/// allocator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Hashes {
     base: usize,
-    index: [usize; Tage::MAX_COMPONENTS as usize],
+    index: [u32; Tage::MAX_COMPONENTS as usize],
     tag: [u16; Tage::MAX_COMPONENTS as usize],
 }
 
-/// Folds the low `len` bits of `bhr` into `width` bits by XOR, in the
-/// `⌈log2(⌈len / width⌉)⌉` shift-XOR steps the configuration implies (the
-/// step count never depends on the history value): each step XORs every
-/// `width`-bit chunk with the one `span` bits above it, doubling the run
-/// of chunks the low chunk has absorbed.
-#[inline]
-fn fold_doubling(bhr: u64, len: u32, width: u32) -> u64 {
-    let mut h = bhr & mask(len);
+/// Folds the low `len` bits of each of `bhrs` into `width` bits by XOR, in
+/// the `⌈log2(⌈len / width⌉)⌉` shift-XOR steps the configuration implies
+/// (the step count never depends on the history value): each step XORs
+/// every `width`-bit chunk with the one `span` bits above it, doubling the
+/// run of chunks the low chunk has absorbed. The steps are the outer loop
+/// and the `N` histories the inner one, so a block folds lane-parallel.
+#[inline(always)]
+fn fold_doubling<const N: usize>(bhrs: &[u64; N], len: u32, width: u32) -> [u64; N] {
+    let mut h = [0u64; N];
+    for (x, &b) in h.iter_mut().zip(bhrs) {
+        *x = b & mask(len);
+    }
     let mut span = width;
     while span < len {
-        h ^= h >> span;
+        for x in &mut h {
+            *x ^= *x >> span;
+        }
         span <<= 1;
     }
-    h & mask(width)
+    for x in &mut h {
+        *x &= mask(width);
+    }
+    h
 }
 
 /// Folds the low `len` bits of `bhr` into `width` bits by XOR — the
@@ -189,6 +210,21 @@ impl Tage {
     /// the one bound [`Tage::new`] and the spec parser both enforce.
     pub const MAX_COMPONENTS: u32 = 12;
 
+    /// Largest table footprint a TAGE predictor may allocate, in bytes
+    /// (see [`Tage::table_bytes`]): 64 MiB, the most any other predictor
+    /// spec can request (`gshare:28`). [`Tage::new`] and the spec parser
+    /// both enforce it, so a parsed spec never asks for gigabytes.
+    pub const MAX_TABLE_BYTES: u64 = 64 << 20;
+
+    /// Bytes the tables of a `base_bits`/`ncomp` configuration occupy:
+    /// `2^base_bits` two-bit base counters plus `ncomp` components of
+    /// `2^(base_bits - 2)` four-byte entries. `base_bits` must be in
+    /// `3..=28` (the range [`Tage::new`] accepts).
+    pub const fn table_bytes(base_bits: u32, ncomp: u32) -> u64 {
+        let entry = std::mem::size_of::<TaggedEntry>() as u64;
+        (1 + ncomp as u64 * entry) << (base_bits - 2)
+    }
+
     /// Creates a TAGE predictor.
     ///
     /// * `base_bits` — log2 entries of the base bimodal table (tagged
@@ -200,9 +236,10 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if `base_bits` is outside `3..=28`, `ncomp` outside
-    /// `2..=`[`Tage::MAX_COMPONENTS`], `tag_bits` outside `4..=15`, the
-    /// lengths do not satisfy `1 <= min_len < max_len <= 64`, or there are
-    /// more components than distinct lengths in `min_len..=max_len`.
+    /// `2..=`[`Tage::MAX_COMPONENTS`], the tables would exceed
+    /// [`Tage::MAX_TABLE_BYTES`], `tag_bits` outside `4..=15`, the lengths
+    /// do not satisfy `1 <= min_len < max_len <= 64`, or there are more
+    /// components than distinct lengths in `min_len..=max_len`.
     pub fn new(base_bits: u32, ncomp: u32, min_len: u32, max_len: u32, tag_bits: u32) -> Self {
         assert!(
             (3..=28).contains(&base_bits),
@@ -212,6 +249,12 @@ impl Tage {
             (2..=Self::MAX_COMPONENTS).contains(&ncomp),
             "tage component count must be 2..={}, got {ncomp}",
             Self::MAX_COMPONENTS
+        );
+        let bytes = Self::table_bytes(base_bits, ncomp);
+        assert!(
+            bytes <= Self::MAX_TABLE_BYTES,
+            "tage tables need {bytes} bytes, more than the {} byte bound",
+            Self::MAX_TABLE_BYTES
         );
         assert!(
             (4..=15).contains(&tag_bits),
@@ -267,24 +310,43 @@ impl Tage {
         self.comps.iter().map(|c| c.len).collect()
     }
 
-    /// Hashes `(pc, bhr)` into every table coordinate a record touches.
-    /// The index folds the history to the component width; the tag folds
-    /// it at two widths so it decorrelates from the index.
-    fn hashes(&self, pc: u64, bhr: u64) -> Hashes {
-        let pc2 = pc >> 2;
-        let mut h = Hashes {
-            base: (pc2 & mask(self.base_bits)) as usize,
-            index: [0; Self::MAX_COMPONENTS as usize],
-            tag: [0; Self::MAX_COMPONENTS as usize],
-        };
-        for (c, comp) in self.comps.iter().enumerate() {
-            let fi = fold_doubling(bhr, comp.len, self.comp_bits);
-            h.index[c] = ((pc2 ^ (pc2 >> (1 + c as u32)) ^ fi) & mask(self.comp_bits)) as usize;
-            let f1 = fold_doubling(bhr, comp.len, self.tag_bits);
-            let f2 = fold_doubling(bhr, comp.len, self.tag_bits - 1) << 1;
-            h.tag[c] = ((pc2 ^ f1 ^ f2) & mask(self.tag_bits)) as u16;
+    /// Hashes `N` records into every table coordinate each touches — the
+    /// one hash routine: [`hashes`](Self::hashes) is its one-record case
+    /// and the batch hooks run it on [`BLOCK`]-record blocks. It works one
+    /// component at a time over all `N` records. The index folds the
+    /// history to the component width; the tag folds it at two widths so
+    /// it decorrelates from the index.
+    #[inline(always)]
+    fn hash_block<const N: usize>(&self, pcs: &[u64; N], bhrs: &[u64; N], out: &mut [Hashes; N]) {
+        let mut pc2 = [0u64; N];
+        for ((p, &pc), o) in pc2.iter_mut().zip(pcs).zip(out.iter_mut()) {
+            *p = pc >> 2;
+            o.base = (*p & mask(self.base_bits)) as usize;
         }
-        h
+        for (c, comp) in self.comps.iter().enumerate() {
+            let fi = fold_doubling(bhrs, comp.len, self.comp_bits);
+            let f1 = fold_doubling(bhrs, comp.len, self.tag_bits);
+            let f2 = fold_doubling(bhrs, comp.len, self.tag_bits - 1);
+            for (i, (o, &p)) in out.iter_mut().zip(&pc2).enumerate() {
+                o.index[c] = ((p ^ (p >> (1 + c as u32)) ^ fi[i]) & mask(self.comp_bits)) as u32;
+                o.tag[c] = ((p ^ f1[i] ^ (f2[i] << 1)) & mask(self.tag_bits)) as u16;
+            }
+        }
+    }
+
+    /// Hashes `(pc, bhr)` into every table coordinate a record touches.
+    fn hashes(&self, pc: u64, bhr: u64) -> Hashes {
+        let mut h = [Hashes::default()];
+        self.hash_block(&[pc], &[bhr], &mut h);
+        h[0]
+    }
+
+    /// Prefetches the tagged entries a record's walk will read.
+    #[inline]
+    fn prefetch_entries(&self, h: &Hashes) {
+        for (comp, &idx) in self.comps.iter().zip(&h.index) {
+            prefetch(&comp.entries[idx as usize]);
+        }
     }
 
     /// The pure table walk every prediction and update shares.
@@ -296,7 +358,7 @@ impl Tage {
         let mut provider = None;
         let mut alt = None;
         for c in (0..self.comps.len()).rev() {
-            let idx = h.index[c];
+            let idx = h.index[c] as usize;
             if self.comps[c].entries[idx].tag == h.tag[c] {
                 if provider.is_none() {
                     provider = Some((c, idx));
@@ -385,7 +447,7 @@ impl Tage {
     /// entry wins; if every candidate is useful, they all age instead.
     fn allocate(&mut self, above: usize, h: &Hashes, taken: bool) {
         for c in above..self.comps.len() {
-            let idx = h.index[c];
+            let idx = h.index[c] as usize;
             if self.comps[c].entries[idx].u == 0 {
                 self.comps[c].entries[idx] = TaggedEntry {
                     ctr: if taken { 0 } else { -1 },
@@ -396,7 +458,7 @@ impl Tage {
             }
         }
         for c in above..self.comps.len() {
-            let e = &mut self.comps[c].entries[h.index[c]];
+            let e = &mut self.comps[c].entries[h.index[c] as usize];
             e.u = e.u.saturating_sub(1);
         }
     }
@@ -466,6 +528,59 @@ impl Tage {
     }
 }
 
+/// Gives [`drive_blocks`] the TAGE core inside a predictor.
+trait HasCore {
+    fn core(&self) -> &Tage;
+}
+
+impl HasCore for Tage {
+    fn core(&self) -> &Tage {
+        self
+    }
+}
+
+impl HasCore for TageScLite {
+    fn core(&self) -> &Tage {
+        &self.tage
+    }
+}
+
+/// The block path behind every TAGE batch hook. Per [`BLOCK`] records:
+/// hash them all with [`Tage::hash_block`], then, in record order,
+/// prefetch the tagged entries of the record [`PREFETCH_AHEAD`] places
+/// later and call `step(p, i, &hashes)` — record `i`'s serial walk and
+/// training. The block scratch is a few KiB on the stack, reused by every
+/// block of the batch.
+fn drive_blocks<P: HasCore>(
+    p: &mut P,
+    pcs: &[u64],
+    bhrs: &[u64],
+    mut step: impl FnMut(&mut P, usize, &Hashes),
+) {
+    let mut hashes = [Hashes::default(); BLOCK];
+    let (mut block_pcs, mut block_bhrs) = ([0u64; BLOCK], [0u64; BLOCK]);
+    let mut start = 0;
+    while start < pcs.len() {
+        let len = BLOCK.min(pcs.len() - start);
+        // A short final block keeps stale tail lanes; their hashes are
+        // computed and never read.
+        block_pcs[..len].copy_from_slice(&pcs[start..start + len]);
+        block_bhrs[..len].copy_from_slice(&bhrs[start..start + len]);
+        p.core().hash_block(&block_pcs, &block_bhrs, &mut hashes);
+        let hashes = &hashes[..len];
+        for h in hashes.iter().take(PREFETCH_AHEAD) {
+            p.core().prefetch_entries(h);
+        }
+        for (i, h) in hashes.iter().enumerate() {
+            if let Some(ahead) = hashes.get(i + PREFETCH_AHEAD) {
+                p.core().prefetch_entries(ahead);
+            }
+            step(p, start + i, h);
+        }
+        start += len;
+    }
+}
+
 impl BranchPredictor for Tage {
     fn predict(&self, pc: u64, bhr: u64) -> bool {
         self.lookup(pc, bhr).1.taken
@@ -491,6 +606,36 @@ impl BranchPredictor for Tage {
         let prediction = self.prediction_of(&l);
         self.update_with(&l, &h, taken);
         prediction
+    }
+
+    fn predict_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        takens: &[bool],
+        out_correct: &mut [bool],
+    ) {
+        assert_batch_shape(pcs, bhrs, takens, out_correct);
+        drive_blocks(self, pcs, bhrs, |t, i, h| {
+            let l = t.lookup_with(h);
+            t.update_with(&l, h, takens[i]);
+            out_correct[i] = l.taken == takens[i];
+        });
+    }
+
+    fn predict_full_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        correct: &[bool],
+        strengths: &mut [u8],
+    ) {
+        assert_batch_shape(pcs, bhrs, correct, strengths);
+        drive_blocks(self, pcs, bhrs, |t, i, h| {
+            let l = t.lookup_with(h);
+            strengths[i] = t.prediction_of(&l).strength;
+            t.update_with(&l, h, l.taken == correct[i]);
+        });
     }
 
     fn describe(&self) -> String {
@@ -661,12 +806,11 @@ struct ScLookup {
     taken: bool,
 }
 
-/// Everything [`TageScLite`] reads for one record before training: the
-/// TAGE core's hashes and walk, its prediction, the side predictors'
-/// decision, and the final prediction.
+/// Everything [`TageScLite`] reads for one record before training, given
+/// the record's hashes: the TAGE core's walk, its prediction, the side
+/// predictors' decision, and the final prediction.
 #[derive(Debug, Clone, Copy)]
 struct ScRead {
-    hashes: Hashes,
     lookup: Lookup,
     tage_pred: Prediction,
     sides: ScLookup,
@@ -715,7 +859,7 @@ impl TageScLite {
         let mut sc_idx = [0usize; 3];
         let mut sc_sum = 0i32;
         for (t, &len) in SC_HIST.iter().enumerate() {
-            let folded = fold_doubling(bhr, len, SC_TABLE_BITS);
+            let [folded] = fold_doubling(&[bhr], len, SC_TABLE_BITS);
             let idx = (((pc >> 2) ^ folded ^ (t as u64 * 0x9e37)) & mask(SC_TABLE_BITS)) as usize;
             sc_idx[t] = idx;
             sc_sum += 2 * i32::from(self.sc[t][idx]) + 1;
@@ -745,10 +889,10 @@ impl TageScLite {
         }
     }
 
-    /// One record's fused read: a single TAGE hash and walk, plus the
-    /// side-predictor read over TAGE's prediction.
-    fn read(&self, pc: u64, bhr: u64) -> ScRead {
-        let (hashes, lookup) = self.tage.lookup(pc, bhr);
+    /// One record's fused read over its hashes: a single TAGE walk, plus
+    /// the side-predictor read over TAGE's prediction.
+    fn read_with(&self, pc: u64, bhr: u64, h: &Hashes) -> ScRead {
+        let lookup = self.tage.lookup_with(h);
         let tage_pred = self.tage.prediction_of(&lookup);
         let sides = self.sc_lookup(pc, bhr, &tage_pred);
         let prediction = if sides.loop_overrides {
@@ -767,7 +911,6 @@ impl TageScLite {
             tage_pred
         };
         ScRead {
-            hashes,
             lookup,
             tage_pred,
             sides,
@@ -775,9 +918,16 @@ impl TageScLite {
         }
     }
 
+    /// Hashes and reads one record.
+    fn read(&self, pc: u64, bhr: u64) -> (Hashes, ScRead) {
+        let h = self.tage.hashes(pc, bhr);
+        let r = self.read_with(pc, bhr, &h);
+        (h, r)
+    }
+
     /// Trains every structure on the resolved direction from the record's
-    /// read, taken before any training.
-    fn train(&mut self, pc: u64, r: &ScRead, taken: bool) {
+    /// hashes and read, taken before any training.
+    fn train(&mut self, pc: u64, h: &Hashes, r: &ScRead, taken: bool) {
         let s = &r.sides;
         // Loop predictor: train matched entries; allocate on a final
         // mispredict when the slot has aged out.
@@ -842,34 +992,64 @@ impl TageScLite {
 
         // The TAGE core trains on its own prediction (allocation keys off
         // the tagged-path mispredict, not the overridden final).
-        self.tage.update_with(&r.lookup, &r.hashes, taken);
+        self.tage.update_with(&r.lookup, h, taken);
     }
 }
 
 impl BranchPredictor for TageScLite {
     fn predict(&self, pc: u64, bhr: u64) -> bool {
-        self.read(pc, bhr).prediction.taken
+        self.read(pc, bhr).1.prediction.taken
     }
 
     fn predict_full(&self, pc: u64, bhr: u64) -> Prediction {
-        self.read(pc, bhr).prediction
+        self.read(pc, bhr).1.prediction
     }
 
     fn update(&mut self, pc: u64, bhr: u64, taken: bool) {
-        let r = self.read(pc, bhr);
-        self.train(pc, &r, taken);
+        let (h, r) = self.read(pc, bhr);
+        self.train(pc, &h, &r, taken);
     }
 
     fn predict_train(&mut self, pc: u64, bhr: u64, taken: bool) -> bool {
-        let r = self.read(pc, bhr);
-        self.train(pc, &r, taken);
+        let (h, r) = self.read(pc, bhr);
+        self.train(pc, &h, &r, taken);
         r.prediction.taken
     }
 
     fn predict_train_full(&mut self, pc: u64, bhr: u64, taken: bool) -> Prediction {
-        let r = self.read(pc, bhr);
-        self.train(pc, &r, taken);
+        let (h, r) = self.read(pc, bhr);
+        self.train(pc, &h, &r, taken);
         r.prediction
+    }
+
+    fn predict_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        takens: &[bool],
+        out_correct: &mut [bool],
+    ) {
+        assert_batch_shape(pcs, bhrs, takens, out_correct);
+        drive_blocks(self, pcs, bhrs, |s, i, h| {
+            let r = s.read_with(pcs[i], bhrs[i], h);
+            s.train(pcs[i], h, &r, takens[i]);
+            out_correct[i] = r.prediction.taken == takens[i];
+        });
+    }
+
+    fn predict_full_train_batch(
+        &mut self,
+        pcs: &[u64],
+        bhrs: &[u64],
+        correct: &[bool],
+        strengths: &mut [u8],
+    ) {
+        assert_batch_shape(pcs, bhrs, correct, strengths);
+        drive_blocks(self, pcs, bhrs, |s, i, h| {
+            let r = s.read_with(pcs[i], bhrs[i], h);
+            strengths[i] = r.prediction.strength;
+            s.train(pcs[i], h, &r, r.prediction.taken == correct[i]);
+        });
     }
 
     fn describe(&self) -> String {
@@ -1008,30 +1188,17 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let (fast, slow) = (fold_doubling(x, len, width), fold(x, len, width));
+                let (fast, slow) = (fold_doubling(&[x], len, width)[0], fold(x, len, width));
                 assert_eq!(fast, slow, "{len}/{width}");
             }
         }
-        assert_eq!(fold_doubling(u64::MAX, 64, 11), fold(u64::MAX, 64, 11));
+        assert_eq!(fold_doubling(&[u64::MAX], 64, 11), [fold(u64::MAX, 64, 11)]);
     }
 
-    /// The per-record hashes equal the `fold`-based index and tag for
-    /// every component of `tage64k` and of edge configurations: a
+    /// `tage64k` and the edge configurations the hash tests cover: a
     /// history as long as the whole BHR, and histories shorter than the
     /// index or tag width.
-    #[test]
-    fn hashes_match_fold_oracle() {
-        let oracle_index = |p: &Tage, c: usize, pc: u64, bhr: u64| {
-            let pc2 = pc >> 2;
-            let h = fold(bhr, p.comps[c].len, p.comp_bits);
-            ((pc2 ^ (pc2 >> (1 + c as u32)) ^ h) & mask(p.comp_bits)) as usize
-        };
-        let oracle_tag = |p: &Tage, c: usize, pc: u64, bhr: u64| {
-            let len = p.comps[c].len;
-            let h1 = fold(bhr, len, p.tag_bits);
-            let h2 = fold(bhr, len, p.tag_bits - 1) << 1;
-            (((pc >> 2) ^ h1 ^ h2) & mask(p.tag_bits)) as u16
-        };
+    fn oracle_configs() -> [Tage; 4] {
         let configs = [
             Tage::reference_64k(),
             // len == 64 on the last component, 12 components.
@@ -1043,20 +1210,65 @@ mod tests {
         ];
         assert_eq!(configs[0].history_lengths().last(), Some(&64));
         assert_eq!(configs[1].history_lengths().last(), Some(&64));
+        configs
+    }
+
+    /// Asserts `h` is the `fold`-based base index, index and tag of every
+    /// component of `p` for `(pc, bhr)`.
+    fn assert_matches_fold_oracle(p: &Tage, pc: u64, bhr: u64, h: &Hashes) {
+        let name = p.describe();
+        let pc2 = pc >> 2;
+        assert_eq!(h.base, (pc2 & mask(p.base_bits)) as usize, "{name}");
+        for (c, comp) in p.comps.iter().enumerate() {
+            let fi = fold(bhr, comp.len, p.comp_bits);
+            let index = (pc2 ^ (pc2 >> (1 + c as u32)) ^ fi) & mask(p.comp_bits);
+            assert_eq!(u64::from(h.index[c]), index, "{name} c{c}");
+            let f1 = fold(bhr, comp.len, p.tag_bits);
+            let f2 = fold(bhr, comp.len, p.tag_bits - 1) << 1;
+            let tag = (pc2 ^ f1 ^ f2) & mask(p.tag_bits);
+            assert_eq!(u64::from(h.tag[c]), tag, "{name} c{c}");
+        }
+    }
+
+    /// The per-record hashes equal the `fold`-based index and tag for
+    /// every component of every oracle configuration.
+    #[test]
+    fn hashes_match_fold_oracle() {
         let mut x = 77u64;
-        for p in &configs {
-            let name = p.describe();
+        for p in &oracle_configs() {
             for _ in 0..2000 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 let (pc, bhr) = (x.rotate_left(23), x);
-                let h = p.hashes(pc, bhr);
-                assert_eq!(h.base, ((pc >> 2) & mask(p.base_bits)) as usize);
-                for c in 0..p.comps.len() {
-                    assert_eq!(h.index[c], oracle_index(p, c, pc, bhr), "{name} c{c}");
-                    assert_eq!(h.tag[c], oracle_tag(p, c, pc, bhr), "{name} c{c}");
-                }
+                assert_matches_fold_oracle(p, pc, bhr, &p.hashes(pc, bhr));
+            }
+        }
+    }
+
+    /// The hashes the block driver hands each record — full 64-record
+    /// blocks and a short final block — equal the per-record `hashes()`
+    /// and the `fold` oracle, and arrive once per record, in order.
+    #[test]
+    fn block_hashes_match_per_record_hashes_and_fold_oracle() {
+        let mut x = 0x5eed_u64;
+        for mut p in oracle_configs() {
+            let n = 2 * BLOCK + 37;
+            let (mut pcs, mut bhrs) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                pcs.push(x.rotate_left(23));
+                bhrs.push(x);
+            }
+            let mut seen = Vec::new();
+            drive_blocks(&mut p, &pcs, &bhrs, |_, i, h| seen.push((i, *h)));
+            assert_eq!(seen.len(), n, "{}", p.describe());
+            for (k, (i, h)) in seen.iter().enumerate() {
+                assert_eq!(*i, k, "{}", p.describe());
+                assert_eq!(*h, p.hashes(pcs[k], bhrs[k]), "{} record {k}", p.describe());
+                assert_matches_fold_oracle(&p, pcs[k], bhrs[k], h);
             }
         }
     }
@@ -1084,6 +1296,21 @@ mod tests {
     #[should_panic(expected = "component count")]
     fn too_few_components_rejected() {
         Tage::new(10, 1, 2, 32, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "byte bound")]
+    fn oversized_tables_rejected() {
+        Tage::new(28, 12, 1, 64, 15);
+    }
+
+    #[test]
+    fn table_bound_admits_the_largest_gshare_footprint() {
+        assert_eq!(Tage::table_bytes(14, 7), (16 << 10) / 4 + 7 * 4 * (4 << 10));
+        // gshare:28 is 2^28 two-bit counters: exactly the bound.
+        assert_eq!(Tage::MAX_TABLE_BYTES, (1u64 << 28) / 4);
+        assert!(Tage::table_bytes(22, Tage::MAX_COMPONENTS) <= Tage::MAX_TABLE_BYTES);
+        assert!(Tage::table_bytes(23, 8) > Tage::MAX_TABLE_BYTES);
     }
 
     #[test]
