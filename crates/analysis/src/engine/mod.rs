@@ -8,18 +8,22 @@
 //! 1. a [`TraceCache`]: each benchmark is walked **once** into a compact
 //!    [`PackedTrace`] buffer shared by every configuration (the old path
 //!    regenerated the synthetic trace per configuration);
-//! 2. a persistent work-stealing [`WorkerPool`] that schedules the full
-//!    config × benchmark grid as independent tasks (the old path spawned
-//!    one thread per benchmark per call, capping parallelism at the suite
-//!    size); sized by `CIRA_JOBS` or the available parallelism;
+//! 2. a persistent work-stealing [`WorkerPool`] that schedules the grid
+//!    as independent (predictor group, benchmark) tasks — configs whose
+//!    fresh predictors are identical share one predictor pass, see
+//!    [`Engine::run_grid`] (the old path spawned one thread per benchmark
+//!    per call, capping parallelism at the suite size); sized by
+//!    `CIRA_JOBS` or the available parallelism;
 //! 3. the batched [`replay`] kernel: a chunked inner loop, monomorphized
 //!    over the predictor, with the `dyn ConfidenceMechanism` dispatch
 //!    hoisted out of the per-record interleave.
 //!
 //! Determinism: tasks share nothing (fresh predictor/mechanism tables per
-//! (config, benchmark), exactly like simulating each trace separately),
-//! results are keyed by grid position, and per-benchmark statistics are
-//! folded in suite order — so results are bit-identical to the sequential
+//! (predictor group, benchmark), exactly like simulating each trace
+//! separately — mechanisms only observe the predictor stream, and a group
+//! holds only configs whose predictors behave identically), results are
+//! keyed by grid position, and per-benchmark statistics are folded in
+//! suite order — so results are bit-identical to the sequential
 //! [`crate::runner`] drivers and independent of the worker count.
 //!
 //! The `run_suite_*` methods on [`Engine`] are the **canonical suite
@@ -62,6 +66,7 @@ pub mod pool;
 pub mod replay;
 pub mod simd;
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -110,13 +115,15 @@ impl SuiteBuckets {
     }
 }
 
-/// Suite-runner instrumentation: how many per-benchmark replays ran and
-/// how long each took end to end (materialized trace → folded stats).
+/// Suite-runner instrumentation: how many predictor passes ran and how
+/// long each took end to end (materialized trace → folded stats).
 #[derive(Debug, Default)]
 pub struct EngineMetrics {
-    /// Per-(config, benchmark) replay tasks completed.
+    /// Predictor passes completed: one per (predictor group, benchmark)
+    /// task of [`run_grid`](Engine::run_grid), one per benchmark of
+    /// [`map_suite`](Engine::map_suite).
     pub replays: Counter,
-    /// Wall-clock time of one replay task, in microseconds.
+    /// Wall-clock time of one predictor pass, in microseconds.
     pub replay_us: Histogram,
 }
 
@@ -171,12 +178,12 @@ impl Engine {
         let m = self.metrics();
         reg.counter(
             "engine_replays_total",
-            "Per-(config, benchmark) replay tasks completed",
+            "Predictor passes completed, one per (predictor group, benchmark)",
             move || m.replays.get(),
         );
         reg.histogram(
             "engine_replay_us",
-            "Wall-clock time of one replay task in microseconds",
+            "Wall-clock time of one predictor pass in microseconds",
             move || m.replay_us.snapshot(),
         );
         let cache = self.cache();
@@ -188,7 +195,7 @@ impl Engine {
         self.pool.register_metrics(reg);
     }
 
-    /// Times `f` as one replay task, folding the result into
+    /// Times `f` as one predictor pass, folding the result into
     /// [`EngineMetrics`].
     fn timed_replay<R>(&self, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
@@ -207,12 +214,22 @@ impl Engine {
             .scope_map(suite, |_, bench| self.cache.get(bench, trace_len))
     }
 
-    /// Runs the full configuration × benchmark grid: for each `config`,
-    /// a fresh predictor plus mechanism set per benchmark, replayed over
-    /// the shared materialized traces. Returns `[config][series]`
-    /// suite results, where *series* indexes the mechanisms returned by
-    /// `make_mechanisms` (same convention as
+    /// Runs the full configuration × benchmark grid over the shared
+    /// materialized traces. Returns `[config][series]` suite results,
+    /// where *series* indexes the mechanisms returned by `make_mechanisms`
+    /// (same convention as
     /// [`run_suite_mechanisms`](Self::run_suite_mechanisms)).
+    ///
+    /// Mechanisms are independent observers of the predictor stream, so
+    /// the predictor runs once per benchmark for each *predictor group*,
+    /// not once per config: configs whose fresh predictors have equal
+    /// [`describe`](BranchPredictor::describe) strings and equal
+    /// [`state_save`](BranchPredictor::state_save) bytes share one task per
+    /// benchmark, which builds that predictor once plus the mechanisms of
+    /// every config in the group and replays them together. When groups ×
+    /// benchmarks would leave a worker idle, each group is cut into the
+    /// fewest equal slices that give every worker a task, and each slice
+    /// re-runs its predictor.
     pub fn run_grid<P, C>(
         &self,
         suite: &[Benchmark],
@@ -226,40 +243,62 @@ impl Engine {
         C: Sync,
     {
         let traces = self.materialize(suite, trace_len);
-        let tasks: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|ci| (0..suite.len()).map(move |bi| (ci, bi)))
+        let groups = predictor_groups(configs.iter().map(&make_predictor));
+        let tasks = grid_tasks(&groups, suite.len(), self.pool.workers());
+        // Per task: one `Vec<BucketStats>` (one per series) per config of
+        // its slice, in slice order.
+        let per_task: Vec<Vec<Vec<BucketStats>>> =
+            self.pool.scope_map(&tasks, |_, &(slice, bi)| {
+                self.timed_replay(|| {
+                    let mut predictor = make_predictor(&configs[slice[0]]);
+                    let mut mechanisms: Vec<Vec<Box<dyn ConfidenceMechanism>>> = slice
+                        .iter()
+                        .map(|&ci| make_mechanisms(&configs[ci]))
+                        .collect();
+                    let mut refs: Vec<&mut dyn ConfidenceMechanism> = mechanisms
+                        .iter_mut()
+                        .flatten()
+                        .map(|m| m.as_mut() as &mut dyn ConfidenceMechanism)
+                        .collect();
+                    let mut stats = replay::replay_mechanisms(
+                        &traces[bi],
+                        trace_len as usize,
+                        &mut predictor,
+                        &mut refs,
+                    )
+                    .into_iter();
+                    mechanisms
+                        .iter()
+                        .map(|ms| stats.by_ref().take(ms.len()).collect())
+                        .collect()
+                })
+            });
+
+        // Scatter back to `[config][benchmark][series]`.
+        let mut cells: Vec<Vec<Vec<BucketStats>>> = configs
+            .iter()
+            .map(|_| vec![Vec::new(); suite.len()])
             .collect();
-        let per_task: Vec<Vec<BucketStats>> = self.pool.scope_map(&tasks, |_, &(ci, bi)| {
-            self.timed_replay(|| {
-                let mut predictor = make_predictor(&configs[ci]);
-                let mut mechanisms = make_mechanisms(&configs[ci]);
-                let mut refs: Vec<&mut dyn ConfidenceMechanism> = mechanisms
-                    .iter_mut()
-                    .map(|m| m.as_mut() as &mut dyn ConfidenceMechanism)
+        for (&(slice, bi), rows) in tasks.iter().zip(per_task) {
+            for (&ci, row) in slice.iter().zip(rows) {
+                cells[ci][bi] = row;
+            }
+        }
+        cells
+            .into_iter()
+            .map(|per_bench| {
+                let n_series = per_bench.first().map_or(0, Vec::len);
+                let mut series: Vec<Vec<(String, BucketStats)>> = (0..n_series)
+                    .map(|_| Vec::with_capacity(suite.len()))
                     .collect();
-                replay::replay_mechanisms(
-                    &traces[bi],
-                    trace_len as usize,
-                    &mut predictor,
-                    &mut refs,
-                )
-            })
-        });
-        (0..configs.len())
-            .map(|ci| {
-                let n_series = per_task[ci * suite.len()].len();
-                (0..n_series)
-                    .map(|si| {
-                        let per_benchmark: Vec<(String, BucketStats)> = suite
-                            .iter()
-                            .enumerate()
-                            .map(|(bi, bench)| {
-                                (
-                                    bench.name().to_owned(),
-                                    per_task[ci * suite.len() + bi][si].clone(),
-                                )
-                            })
-                            .collect();
+                for (bench, stats) in suite.iter().zip(per_bench) {
+                    for (s, st) in series.iter_mut().zip(stats) {
+                        s.push((bench.name().to_owned(), st));
+                    }
+                }
+                series
+                    .into_iter()
+                    .map(|per_benchmark| {
                         let combined = BucketStats::combine_equal_weight(
                             per_benchmark.iter().map(|(_, s)| s),
                         );
@@ -420,6 +459,46 @@ impl Engine {
     }
 }
 
+/// Partitions config indices into predictor groups: configs whose fresh
+/// predictors have equal `describe()` strings and equal `state_save()`
+/// bytes, which the [`BranchPredictor::describe`] contract says behave
+/// identically. Groups and their members keep first-appearance order.
+fn predictor_groups<P: BranchPredictor>(predictors: impl Iterator<Item = P>) -> Vec<Vec<usize>> {
+    let mut index: HashMap<(String, Vec<u8>), usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (ci, predictor) in predictors.enumerate() {
+        let mut state = Vec::new();
+        predictor.state_save(&mut state);
+        let g = *index
+            .entry((predictor.describe(), state))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(ci);
+    }
+    groups
+}
+
+/// One task per (group slice, benchmark). Every group is cut into the same
+/// number of near-equal slices (at most its size): the fewest that give
+/// each of `workers` a task, so one slice per group unless groups ×
+/// benchmarks is smaller than the pool.
+fn grid_tasks(groups: &[Vec<usize>], benchmarks: usize, workers: usize) -> Vec<(&[usize], usize)> {
+    let largest = groups.iter().map(Vec::len).max().unwrap_or(0);
+    let slices = (1..largest)
+        .find(|&k| groups.iter().map(|g| g.len().min(k)).sum::<usize>() * benchmarks >= workers)
+        .unwrap_or(largest);
+    groups
+        .iter()
+        .flat_map(|g| {
+            let k = slices.min(g.len());
+            (0..k).map(move |i| &g[i * g.len() / k..(i + 1) * g.len() / k])
+        })
+        .flat_map(|slice| (0..benchmarks).map(move |bi| (slice, bi)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,7 +593,8 @@ mod tests {
 
     #[test]
     fn grid_shape_and_sharing() {
-        let engine = Engine::with_jobs(4);
+        // Three workers: one group x 3 benchmarks fills the pool unsplit.
+        let engine = Engine::with_jobs(3);
         let suite = mini_suite();
         let maxes = [8u32, 16];
         let grid = engine.run_grid(
@@ -538,9 +618,83 @@ mod tests {
         }
         // All configurations shared one materialization per benchmark.
         assert_eq!(engine.cache().entries(), 3);
-        // Every (config, benchmark) task was counted and timed.
+        // Both configs build the same predictor: one pass per benchmark,
+        // each counted and timed.
+        assert_eq!(engine.metrics().replays.get(), 3);
+        assert_eq!(engine.metrics().replay_us.snapshot().count, 3);
+
+        // Two distinct predictors: one pass per (predictor, benchmark).
+        let engine = Engine::with_jobs(3);
+        let bits = [10u32, 12];
+        let grid = engine.run_grid(
+            &suite,
+            8_000,
+            &bits,
+            |&b| Gshare::new(b, b),
+            |&b| {
+                vec![Box::new(ResettingConfidence::new(
+                    IndexSpec::pc_xor_bhr(b),
+                    16,
+                    InitPolicy::AllOnes,
+                )) as Box<dyn ConfidenceMechanism>]
+            },
+        );
+        assert_eq!(grid.len(), 2);
         assert_eq!(engine.metrics().replays.get(), 2 * 3);
         assert_eq!(engine.metrics().replay_us.snapshot().count, 2 * 3);
+    }
+
+    #[test]
+    fn groups_by_describe_and_state() {
+        let predictors = [
+            Gshare::new(10, 10),
+            Gshare::new(12, 12),
+            Gshare::new(10, 10),
+        ];
+        assert_eq!(
+            predictor_groups(predictors.into_iter()),
+            vec![vec![0, 2], vec![1]]
+        );
+        // Same description, different starting tables: not merged.
+        let mut trained = Gshare::new(10, 10);
+        trained.update(0x40, 0, true);
+        let predictors = [Gshare::new(10, 10), trained];
+        assert_eq!(
+            predictor_groups(predictors.into_iter()),
+            vec![vec![0], vec![1]]
+        );
+    }
+
+    #[test]
+    fn tasks_split_groups_only_to_fill_the_pool() {
+        let groups = vec![(0..8).collect::<Vec<_>>(), vec![8, 9]];
+        let slice_sizes = |benchmarks, workers| -> Vec<usize> {
+            grid_tasks(&groups, benchmarks, workers)
+                .iter()
+                .map(|(slice, _)| slice.len())
+                .collect()
+        };
+        // 2 groups x 10 benchmarks already fill 2 workers: no split.
+        assert_eq!(slice_sizes(10, 2), [[8; 10], [2; 10]].concat());
+        // 2 groups x 1 benchmark for 5 workers: 3 slices each, the small
+        // group capped at its size (3 + 2 = 5 tasks).
+        assert_eq!(slice_sizes(1, 5), vec![2, 3, 3, 1, 1]);
+        // Never more than one config per slice.
+        assert_eq!(slice_sizes(1, 64), vec![1; 10]);
+        // Every config lands in exactly one slice per benchmark.
+        for (benchmarks, workers) in [(3, 16), (1, 64)] {
+            let tasks = grid_tasks(&groups, benchmarks, workers);
+            for bi in 0..benchmarks {
+                let mut seen: Vec<usize> = tasks
+                    .iter()
+                    .filter(|t| t.1 == bi)
+                    .flat_map(|t| t.0.iter().copied())
+                    .collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..10).collect::<Vec<_>>());
+            }
+        }
+        assert!(grid_tasks(&[], 10, 4).is_empty());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use cira_core::one_level::ResettingConfidence;
 use cira_core::{ConfidenceMechanism, IndexSpec, InitPolicy};
+use cira_predictor::state::{put_blob, StateReader};
 use cira_predictor::BranchPredictor;
 
 /// Two predictors plus a confidence mechanism per component; predictions
@@ -35,6 +36,7 @@ pub struct ConfidenceSelector<A, B> {
     second: B,
     conf_first: ResettingConfidence,
     conf_second: ResettingConfidence,
+    table_bits: u32,
 }
 
 impl<A: BranchPredictor, B: BranchPredictor> ConfidenceSelector<A, B> {
@@ -58,6 +60,7 @@ impl<A: BranchPredictor, B: BranchPredictor> ConfidenceSelector<A, B> {
                 16,
                 InitPolicy::AllOnes,
             ),
+            table_bits,
         }
     }
 
@@ -98,10 +101,39 @@ impl<A: BranchPredictor, B: BranchPredictor> BranchPredictor for ConfidenceSelec
 
     fn describe(&self) -> String {
         format!(
-            "confidence-selector({} | {})",
+            "confidence-selector({} | {},conf {})",
             self.first.describe(),
-            self.second.describe()
+            self.second.describe(),
+            self.table_bits
         )
+    }
+
+    fn state_save(&self, out: &mut Vec<u8>) {
+        let mut blob = Vec::new();
+        self.first.state_save(&mut blob);
+        put_blob(out, &blob);
+        blob.clear();
+        self.second.state_save(&mut blob);
+        put_blob(out, &blob);
+        blob.clear();
+        self.conf_first.state_save(&mut blob);
+        put_blob(out, &blob);
+        blob.clear();
+        self.conf_second.state_save(&mut blob);
+        put_blob(out, &blob);
+    }
+
+    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let mut r = StateReader::new(bytes);
+        let first = r.blob()?;
+        let second = r.blob()?;
+        let conf_first = r.blob()?;
+        let conf_second = r.blob()?;
+        r.finish()?;
+        self.first.state_load(first)?;
+        self.second.state_load(second)?;
+        self.conf_first.state_load(conf_first)?;
+        self.conf_second.state_load(conf_second)
     }
 }
 
@@ -109,7 +141,7 @@ impl<A: BranchPredictor, B: BranchPredictor> BranchPredictor for ConfidenceSelec
 mod tests {
     use super::*;
     use cira_analysis::runner::run_predictor;
-    use cira_predictor::{Bimodal, Gshare, Hybrid, StaticDirection};
+    use cira_predictor::{Bimodal, Gshare, HistoryRegister, Hybrid, StaticDirection};
     use cira_trace::suite::ibs_like_suite;
 
     #[test]
@@ -167,5 +199,58 @@ mod tests {
         assert!(p.describe().contains("bimodal(8)"));
         assert_eq!(p.first().table_bits(), 8);
         assert_eq!(p.second().bits(), 8);
+    }
+
+    #[test]
+    fn describe_names_confidence_table_size() {
+        let small = ConfidenceSelector::new(Gshare::new(8, 8), Bimodal::new(8), 8);
+        let large = ConfidenceSelector::new(Gshare::new(8, 8), Bimodal::new(8), 12);
+        assert_ne!(small.describe(), large.describe());
+    }
+
+    #[test]
+    fn mid_trace_checkpoint_round_trip_is_bit_identical() {
+        let make = || ConfidenceSelector::new(Gshare::new(10, 10), Bimodal::new(10), 10);
+        let records: Vec<_> = ibs_like_suite()[1].walker().take(40_000).collect();
+        let (head, tail) = records.split_at(25_000);
+        let drive = |p: &mut ConfidenceSelector<Gshare, Bimodal>,
+                     bhr: &mut HistoryRegister,
+                     recs: &[cira_trace::BranchRecord]| {
+            recs.iter()
+                .map(|r| {
+                    let predicted = p.predict_train(r.pc, bhr.value(), r.taken);
+                    bhr.push(r.taken);
+                    predicted
+                })
+                .collect::<Vec<bool>>()
+        };
+
+        let mut straight = make();
+        let mut bhr = HistoryRegister::new(16);
+        drive(&mut straight, &mut bhr, head);
+        let mut saved = Vec::new();
+        straight.state_save(&mut saved);
+        let resume_bhr = bhr;
+        let want = drive(&mut straight, &mut bhr, tail);
+
+        let mut restored = make();
+        restored.state_load(&saved).unwrap();
+        let mut again = Vec::new();
+        restored.state_save(&mut again);
+        assert_eq!(again, saved, "save -> load -> save is the identity");
+        let mut bhr = resume_bhr;
+        assert_eq!(drive(&mut restored, &mut bhr, tail), want);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        straight.state_save(&mut a);
+        restored.state_save(&mut b);
+        assert_eq!(a, b, "final state after the tail");
+
+        // A cold instance does not match: the checkpoint carries state.
+        let mut cold = Vec::new();
+        make().state_save(&mut cold);
+        assert_ne!(cold, saved);
+        // A truncated checkpoint is rejected, not silently accepted.
+        assert!(make().state_load(&saved[..saved.len() - 1]).is_err());
+        assert!(make().state_load(&[]).is_err());
     }
 }

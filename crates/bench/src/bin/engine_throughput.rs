@@ -14,6 +14,15 @@
 //! * **engine**: the same grid with the vectorized kernels — lane-parallel
 //!   history fill, SWAR pattern tables, batched mechanism observe.
 //!
+//! All three configurations' predictors are the same 64K gshare, so the
+//! engine drives it once per benchmark for all 8 mechanism configs
+//! (one predictor group), while the legacy path drives it once per cell.
+//!
+//! A fourth row, **engine-tage**, runs the same 8 configurations on
+//! `Tage::reference_64k()` through its block-hashed batch hooks, checked
+//! against the same grid on `ScalarKernel<Tage>` (the per-record default
+//! loops; untimed).
+//!
 //! All paths compute identical statistics (asserted below) — this binary
 //! measures only how fast they get there. Each path is timed best-of-`REPS`
 //! to keep scheduler noise out of the comparison. Results go to
@@ -28,7 +37,7 @@ use cira_analysis::{runner, BucketStats};
 use cira_bench::{banner, rustc_version, trace_len};
 use cira_core::one_level::ResettingConfidence;
 use cira_core::{ConfidenceMechanism, IndexSpec, InitPolicy, ScalarObserve};
-use cira_predictor::{Gshare, ScalarKernel};
+use cira_predictor::{BranchPredictor, Gshare, ScalarKernel, Tage};
 use cira_trace::suite::{ibs_like_suite, Benchmark};
 
 /// The 8 grid configurations: resetting counters (the paper's recommended
@@ -92,10 +101,15 @@ fn run_legacy(suite: &[Benchmark], len: u64) -> Vec<Vec<(String, BucketStats)>> 
         .collect()
 }
 
-/// The engine path with the vectorized kernels (the production default).
-fn run_engine(suite: &[Benchmark], len: u64) -> Vec<SuiteBuckets> {
+/// The engine path on `make_predictor`'s predictor with the batched
+/// mechanism kernels (the production default).
+fn run_engine<P: BranchPredictor + Send>(
+    suite: &[Benchmark],
+    len: u64,
+    make_predictor: impl Fn() -> P + Sync,
+) -> Vec<SuiteBuckets> {
     Engine::global()
-        .run_grid(suite, len, &CONFIGS, |_| Gshare::paper_large(), |c| {
+        .run_grid(suite, len, &CONFIGS, |_| make_predictor(), |c| {
             vec![Box::new(mechanism(c)) as Box<dyn ConfidenceMechanism>]
         })
         .into_iter()
@@ -164,8 +178,12 @@ fn main() {
     let (scalar_secs, engine_scalar) = best_of(REPS, || run_engine_scalar(&suite, len));
     println!("engine-scalar: {scalar_secs:8.2}s  ({:.1}M branches/s)  [scalar]", bps(scalar_secs));
 
-    let (engine_secs, engine) = best_of(REPS, || run_engine(&suite, len));
+    let (engine_secs, engine) = best_of(REPS, || run_engine(&suite, len, Gshare::paper_large));
     println!("engine:        {engine_secs:8.2}s  ({:.1}M branches/s)  [simd]", bps(engine_secs));
+
+    let (tage_secs, engine_tage) = best_of(REPS, || run_engine(&suite, len, Tage::reference_64k));
+    println!("engine-tage:   {tage_secs:8.2}s  ({:.1}M branches/s)  [tage]", bps(tage_secs));
+    let tage_scalar = run_engine(&suite, len, || ScalarKernel(Tage::reference_64k()));
 
     // The speedup only counts if the answers agree, bit for bit.
     for (ci, (legacy_row, engine_row)) in legacy.iter().zip(&engine).enumerate() {
@@ -185,7 +203,13 @@ fn main() {
             "config {ci}: scalar and vectorized kernels must agree"
         );
     }
-    println!("checked: all three paths bit-identical");
+    for (ci, (scalar_row, tage_row)) in tage_scalar.iter().zip(&engine_tage).enumerate() {
+        assert_eq!(
+            scalar_row.per_benchmark, tage_row.per_benchmark,
+            "config {ci}: TAGE batch hooks and ScalarKernel<Tage> must agree"
+        );
+    }
+    println!("checked: all three gshare paths bit-identical; engine-tage matches ScalarKernel<Tage>");
 
     let speedup = legacy_secs / engine_secs;
     let kernel_speedup = scalar_secs / engine_secs;
@@ -193,7 +217,7 @@ fn main() {
     println!("speedup vs legacy: {speedup:.2}x   vectorized kernel vs scalar kernel: {kernel_speedup:.2}x");
 
     let json = format!(
-        "{{\n  \"grid\": {{\"benchmarks\": {}, \"configs\": {}, \"trace_len\": {}, \"total_branches\": {}}},\n  \"workers\": {},\n  \"host_cores\": {},\n  \"reps\": {REPS},\n  \"rustc\": \"{}\",\n  \"legacy\": {{\"kernel\": \"scalar\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"engine_scalar\": {{\"kernel\": \"scalar\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"engine\": {{\"kernel\": \"simd\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"speedup\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"grid\": {{\"benchmarks\": {}, \"configs\": {}, \"trace_len\": {}, \"total_branches\": {}}},\n  \"workers\": {},\n  \"host_cores\": {},\n  \"reps\": {REPS},\n  \"rustc\": \"{}\",\n  \"legacy\": {{\"kernel\": \"scalar\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"engine_scalar\": {{\"kernel\": \"scalar\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"engine\": {{\"kernel\": \"simd\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"engine_tage\": {{\"kernel\": \"tage\", \"predictor\": \"{}\", \"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"speedup\": {:.3},\n  \"kernel_speedup\": {:.3},\n  \"bit_identical\": true\n}}\n",
         suite.len(),
         CONFIGS.len(),
         len,
@@ -207,6 +231,9 @@ fn main() {
         total_branches as f64 / scalar_secs,
         engine_secs,
         total_branches as f64 / engine_secs,
+        Tage::reference_64k().describe(),
+        tage_secs,
+        total_branches as f64 / tage_secs,
         speedup,
         kernel_speedup,
     );

@@ -246,6 +246,12 @@ pub trait BranchPredictor {
     }
 
     /// Short human-readable description (e.g. `"gshare(16,16)"`).
+    ///
+    /// It must name every configuration parameter that affects behaviour:
+    /// two predictors with equal `describe()` strings and equal
+    /// [`state_save`](Self::state_save) bytes must behave identically on
+    /// any call sequence. The execution engine relies on this to drive one
+    /// predictor for every grid config that builds such a predictor.
     fn describe(&self) -> String;
 
     /// Appends this predictor's **mutable** state (table words, histories,
